@@ -33,7 +33,7 @@ use crate::Scale;
 use qrs_ranking::{LinearRank, RankFn};
 use qrs_server::{SearchInterface, SiteProfile, SystemRank};
 use qrs_service::{Algorithm, Calibration, CostEstimate, RankedCandidate, RerankService};
-use qrs_types::{AttrId, Query, RerankError};
+use qrs_types::{AttrId, Ledger, Query, RerankError};
 use std::sync::Arc;
 
 /// One workload shape swept across every profile.
@@ -253,8 +253,7 @@ pub fn run(scale: Scale) -> Vec<CostRow> {
         store.observe_session(
             &r.candidate,
             predicted,
-            r.actual_queries,
-            r.actual_cost,
+            Ledger::new(r.actual_queries, r.actual_cost),
             p.top_h as u64,
         );
         let calibrated = store.calibrate(&r.candidate, predicted);

@@ -11,10 +11,12 @@
 //! 2. consult the source's [`SourceShard`] — an exact replay or an answer
 //!    synthesized from a drained region is returned **without contacting
 //!    the server**, charging zero queries and zero cost units while
-//!    crediting the gate's `queries_saved`/`cost_units_saved` ledger with
+//!    crediting the gate's [`saved`](KnowledgeGate::saved) ledger with
 //!    what the site would have billed,
 //! 3. on a miss, pay: forward to the inner server and record the response
-//!    (successes only — refused requests teach nothing certain).
+//!    (successes only — refused requests teach nothing certain) under the
+//!    shard epoch captured at step 0's sync, so an answer that raced a data
+//!    change is dropped rather than stored as current.
 //!
 //! The gate's `queries_issued`/`cost_units_issued` forward to the inner
 //! server, so the session layer's in-lock delta attribution keeps working
@@ -24,7 +26,7 @@
 use qrs_knowledge::{RequestKey, SourceShard};
 use qrs_server::{Capabilities, OrderedPage, SearchInterface};
 use qrs_types::{
-    AttrId, CostModel, Direction, MutationLog, Query, QueryResponse, RequestKind, Schema,
+    AttrId, CostModel, Direction, Ledger, MutationLog, Query, QueryResponse, RequestKind, Schema,
     ServerError,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,19 +69,20 @@ impl KnowledgeGate {
     }
 
     /// Poll the inner server's mutation sequence number, report it to the
-    /// shard (advancing the shard's watermark bumps its epoch, lazily
-    /// invalidating every entry recorded against the older snapshot), and
-    /// remember it locally. Called at construction and before every request
-    /// so a gate can never serve knowledge recorded before a mutation it
-    /// has already observed. Servers without a mutation feed report 0
-    /// forever, making this a no-op. Returns the sequence number seen.
+    /// shard (advancing the shard's watermark bumps its epoch, dropping
+    /// every entry recorded against the older snapshot), and remember it
+    /// locally. Called at construction and before every request so a gate
+    /// can never serve knowledge recorded before a mutation it has already
+    /// observed. Servers without a mutation feed report 0 forever, making
+    /// this a no-op. Returns the shard epoch as of this sync: a response
+    /// fetched next is recorded only if the shard is still at that epoch.
     pub fn sync(&self) -> u64 {
         let seq = self.inner.mutation_seq();
         if seq > 0 {
             self.shard.observe_watermark(seq);
         }
         self.watermark.store(seq, Ordering::Release);
-        seq
+        self.shard.epoch()
     }
 
     /// The inner server's mutation sequence number as of the last
@@ -98,18 +101,16 @@ impl KnowledgeGate {
         &self.inner
     }
 
-    /// Queries answered from knowledge instead of the server, so far.
-    /// Monotonic; the session layer reads deltas across a cursor step
-    /// under the shared-state lock, mirroring how paid queries are
-    /// attributed.
-    pub fn queries_saved(&self) -> u64 {
-        self.queries_saved.load(Ordering::Relaxed)
-    }
-
-    /// Cost units those knowledge hits would have been billed, under the
-    /// server's advertised cost model.
-    pub fn cost_units_saved(&self) -> u64 {
-        self.cost_units_saved.load(Ordering::Relaxed)
+    /// Queries answered from knowledge instead of the server so far, and
+    /// the cost units the site would have billed for them under its
+    /// advertised cost model. Monotonic; the session layer reads deltas
+    /// across a cursor step under the shared-state lock, mirroring how paid
+    /// queries are attributed.
+    pub fn saved(&self) -> Ledger {
+        Ledger::new(
+            self.queries_saved.load(Ordering::Relaxed),
+            self.cost_units_saved.load(Ordering::Relaxed),
+        )
     }
 
     fn credit(&self, q: &Query, kind: RequestKind) {
@@ -133,7 +134,7 @@ impl SearchInterface for KnowledgeGate {
     }
 
     fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
-        self.sync();
+        let epoch = self.sync();
         let key = RequestKey::top_k(q);
         if let Some(hit) = self.shard.lookup_response(&key, q, self.k) {
             self.credit(q, RequestKind::TopK);
@@ -141,7 +142,7 @@ impl SearchInterface for KnowledgeGate {
         }
         let resp = self.inner.query(q)?;
         self.shard
-            .record_response(key, q, self.k, &resp.tuples, resp.is_overflow());
+            .record_response(epoch, key, q, self.k, &resp.tuples, resp.is_overflow());
         Ok(resp)
     }
 
@@ -154,7 +155,7 @@ impl SearchInterface for KnowledgeGate {
     }
 
     fn query_page(&self, q: &Query, page: usize) -> Result<QueryResponse, ServerError> {
-        self.sync();
+        let epoch = self.sync();
         let key = RequestKey::page(q, page);
         if let Some(hit) = self.shard.lookup_response(&key, q, self.k) {
             self.credit(q, RequestKind::Page);
@@ -162,7 +163,7 @@ impl SearchInterface for KnowledgeGate {
         }
         let resp = self.inner.query_page(q, page)?;
         self.shard
-            .record_response(key, q, self.k, &resp.tuples, resp.is_overflow());
+            .record_response(epoch, key, q, self.k, &resp.tuples, resp.is_overflow());
         Ok(resp)
     }
 
@@ -173,7 +174,7 @@ impl SearchInterface for KnowledgeGate {
         dir: Direction,
         page: usize,
     ) -> Result<OrderedPage, ServerError> {
-        self.sync();
+        let epoch = self.sync();
         let key = RequestKey::ordered(q, attr, dir, page);
         if let Some(hit) = self.shard.lookup_response(&key, q, self.k) {
             self.credit(q, RequestKind::Ordered);
@@ -184,7 +185,7 @@ impl SearchInterface for KnowledgeGate {
         }
         let resp = self.inner.query_ordered(q, attr, dir, page)?;
         self.shard
-            .record_response(key, q, self.k, &resp.tuples, resp.has_more);
+            .record_response(epoch, key, q, self.k, &resp.tuples, resp.has_more);
         Ok(resp)
     }
 
@@ -200,8 +201,7 @@ impl SearchInterface for KnowledgeGate {
 impl std::fmt::Debug for KnowledgeGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KnowledgeGate")
-            .field("queries_saved", &self.queries_saved())
-            .field("cost_units_saved", &self.cost_units_saved())
+            .field("saved", &self.saved())
             .field("shard", &self.shard.stats())
             .finish()
     }
@@ -234,11 +234,11 @@ mod tests {
         let q = narrow();
         let cold = g.query(&q).unwrap();
         let paid = g.queries_issued();
-        assert_eq!(g.queries_saved(), 0);
+        assert_eq!(g.saved().queries, 0);
         let warm = g.query(&q).unwrap();
         assert_eq!(g.queries_issued(), paid, "hit must not touch the server");
-        assert_eq!(g.queries_saved(), 1);
-        assert_eq!(g.cost_units_saved(), 1, "flat model: one unit saved");
+        assert_eq!(g.saved().queries, 1);
+        assert_eq!(g.saved().cost_units, 1, "flat model: one unit saved");
         assert_eq!(warm.outcome, cold.outcome);
         let ids = |r: &QueryResponse| r.tuples.iter().map(|t| t.id).collect::<Vec<_>>();
         assert_eq!(ids(&warm), ids(&cold));
@@ -256,7 +256,7 @@ mod tests {
         let paid = g.queries_issued();
         let synth = g.query(&sub).unwrap();
         assert_eq!(g.queries_issued(), paid);
-        assert_eq!(g.queries_saved(), 1);
+        assert_eq!(g.saved().queries, 1);
         // Ground truth: the same query against an identical ungated server.
         let data = uniform(120, 2, 1, 2101);
         let fresh = SimServer::new(data, SystemRank::pseudo_random(3), 60);
@@ -277,7 +277,7 @@ mod tests {
         shard.invalidate();
         g.query(&q).unwrap();
         assert!(g.queries_issued() > paid, "stale knowledge must be re-paid");
-        assert_eq!(g.queries_saved(), 0);
+        assert_eq!(g.saved().queries, 0);
     }
 
     #[test]
@@ -300,7 +300,7 @@ mod tests {
         let paid = g.queries_issued();
         let fresh = g.query(&q).unwrap();
         assert!(g.queries_issued() > paid, "stale replay must be re-paid");
-        assert_eq!(g.queries_saved(), 0);
+        assert_eq!(g.saved().queries, 0);
         assert_eq!(g.watermark(), 1);
         assert_eq!(shard.stats().watermark, 1);
         assert!(fresh.tuples.iter().all(|t| t.id != victim));
@@ -308,7 +308,70 @@ mod tests {
         let paid = g.queries_issued();
         g.query(&q).unwrap();
         assert_eq!(g.queries_issued(), paid);
-        assert_eq!(g.queries_saved(), 1);
+        assert_eq!(g.saved().queries, 1);
+    }
+
+    /// A site whose data changes while a request is in flight: the first
+    /// query is answered from the pre-mutation snapshot, then `victim` is
+    /// deleted and a second gate over the same shard observes the change
+    /// before the answer gets back to the gate that asked.
+    struct MutatesMidFlight {
+        server: Arc<SimServer>,
+        other: KnowledgeGate,
+        victim: qrs_types::TupleId,
+        fired: std::sync::atomic::AtomicBool,
+    }
+
+    impl SearchInterface for MutatesMidFlight {
+        fn schema(&self) -> &Arc<Schema> {
+            self.server.schema()
+        }
+        fn k(&self) -> usize {
+            self.server.k()
+        }
+        fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
+            let resp = self.server.query(q)?;
+            if !self.fired.swap(true, Ordering::SeqCst) {
+                self.server.delete(self.victim).expect("victim is present");
+                self.other.sync();
+            }
+            Ok(resp)
+        }
+        fn queries_issued(&self) -> u64 {
+            self.server.queries_issued()
+        }
+        fn mutation_seq(&self) -> u64 {
+            self.server.mutation_seq()
+        }
+    }
+
+    #[test]
+    fn an_answer_that_raced_a_mutation_is_never_replayed() {
+        let data = uniform(120, 2, 1, 2101);
+        let server = Arc::new(SimServer::new(data, SystemRank::pseudo_random(3), 5));
+        let q = narrow();
+        let victim = server.query(&q).unwrap().tuples[0].id;
+        let shard = Arc::new(SourceShard::new());
+        let other = KnowledgeGate::new(
+            Arc::clone(&server) as Arc<dyn SearchInterface>,
+            Arc::clone(&shard),
+        );
+        let site = MutatesMidFlight {
+            server: Arc::clone(&server),
+            other,
+            victim,
+            fired: std::sync::atomic::AtomicBool::new(false),
+        };
+        let g = KnowledgeGate::new(Arc::new(site), Arc::clone(&shard));
+        // The in-flight answer still holds the victim: it was computed
+        // before the delete.
+        let raced = g.query(&q).unwrap();
+        assert!(raced.tuples.iter().any(|t| t.id == victim));
+        assert_eq!(shard.watermark(), 1, "the second gate saw the delete");
+        // The next query must not replay that answer as current.
+        let later = g.query(&q).unwrap();
+        assert!(later.tuples.iter().all(|t| t.id != victim));
+        assert_eq!(g.saved().queries, 0, "the raced answer was not cached");
     }
 
     #[test]
@@ -321,7 +384,7 @@ mod tests {
         let q = narrow(); // one range predicate: 3 + 2 = 5 units
         g.query(&q).unwrap();
         g.query(&q).unwrap();
-        assert_eq!(g.queries_saved(), 1);
-        assert_eq!(g.cost_units_saved(), 5);
+        assert_eq!(g.saved().queries, 1);
+        assert_eq!(g.saved().cost_units, 5);
     }
 }

@@ -118,9 +118,9 @@ impl HttpSiteAdapter {
     /// automatically absorbed by the next one.
     fn absorb_ledger(&self, body: &Json) {
         if let Some(l) = body.get("ledger") {
-            if let Ok((q, c)) = wire::ledger_from_json(l) {
-                self.queries.store(q, Ordering::SeqCst);
-                self.cost_units.store(c, Ordering::SeqCst);
+            if let Ok(l) = wire::ledger_from_json(l) {
+                self.queries.store(l.queries, Ordering::SeqCst);
+                self.cost_units.store(l.cost_units, Ordering::SeqCst);
             }
         }
     }
@@ -373,6 +373,7 @@ impl EdgeClient {
         let tenant = json
             .get("tenant")
             .and_then(|t| wire::ledger_from_json(t).ok())
+            .map(|l| (l.queries, l.cost_units))
             .ok_or_else(|| EdgeClientError::Failed("missing 'tenant' ledger".into()))?;
         Ok(WireBatchReply { outcomes, tenant })
     }

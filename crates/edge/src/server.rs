@@ -44,7 +44,7 @@ use qrs_exec::{CancelToken, Executor};
 use qrs_obs::EventKind;
 use qrs_ranking::LinearRank;
 use qrs_service::{BatchOutcome, BatchRequest, RerankService};
-use qrs_types::{AttrId, Direction, ServerError};
+use qrs_types::{AttrId, Direction, Ledger, ServerError};
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -119,20 +119,14 @@ impl EdgeConfig {
     }
 }
 
-/// One tenant's cumulative spend, charged after each served batch from
-/// the same in-lock session ledgers the service stats use.
-#[derive(Debug, Clone, Copy, Default)]
-struct TenantLedger {
-    queries: u64,
-    cost_units: u64,
-}
-
 struct Shared {
     svc: Arc<RerankService>,
     exec: Arc<Executor>,
     config: EdgeConfig,
     inflight: AtomicU64,
-    tenants: Mutex<BTreeMap<String, TenantLedger>>,
+    /// Each tenant's cumulative spend, charged after each served batch
+    /// from the same in-lock session ledgers the service stats use.
+    tenants: Mutex<BTreeMap<String, Ledger>>,
     admitted: AtomicU64,
     rejected: AtomicU64,
     stop: AtomicBool,
@@ -303,7 +297,7 @@ fn error_response(status: u16, code: &str, message: String) -> Response {
 
 fn site_ledger(shared: &Shared) -> Json {
     let site = shared.svc.server();
-    wire::ledger_json(site.queries_issued(), site.cost_units_issued())
+    wire::ledger_json(site.issued())
 }
 
 fn site_ok(shared: &Shared, members: Vec<(&str, Json)>) -> Response {
@@ -437,11 +431,7 @@ fn site_mutations(req: &Request, shared: &Shared) -> Response {
 
 // --------------------------------------------------------- /v1/rerank
 
-fn tenant_ledger_json(l: TenantLedger) -> Json {
-    wire::ledger_json(l.queries, l.cost_units)
-}
-
-fn admission_reject(shared: &Shared, tenant_spend: TenantLedger, reason: &str) -> Response {
+fn admission_reject(shared: &Shared, tenant_spend: Ledger, reason: &str) -> Response {
     shared.rejected.fetch_add(1, Ordering::Relaxed);
     let obs = shared.svc.observer();
     if obs.enabled() {
@@ -467,7 +457,7 @@ fn admission_reject(shared: &Shared, tenant_spend: TenantLedger, reason: &str) -
                 ),
             ]),
         ),
-        ("tenant", tenant_ledger_json(tenant_spend)),
+        ("tenant", wire::ledger_json(tenant_spend)),
     ]);
     Response::json(429, body.encode())
         .with_header("retry-after", ms.div_ceil(1000).max(1).to_string())
@@ -652,14 +642,13 @@ fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {
         .svc
         .serve_batch_cancellable(&shared.exec, batch, &CancelToken::new());
     // Charge: the summed in-lock session ledgers land on the tenant.
-    let (queries, cost_units) = outcomes.iter().fold((0, 0), |(q, c), o| {
-        (q + o.stats.queries_spent, c + o.stats.cost_units_spent)
+    let charged = outcomes.iter().fold(Ledger::default(), |acc, o| {
+        acc + Ledger::new(o.stats.queries_spent, o.stats.cost_units_spent)
     });
     let after = {
         let mut tenants = shared.tenants.lock();
         let ledger = tenants.entry(tenant.to_string()).or_default();
-        ledger.queries += queries;
-        ledger.cost_units += cost_units;
+        *ledger += charged;
         *ledger
     };
     let body = Json::obj(vec![
@@ -667,7 +656,7 @@ fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {
             "outcomes",
             Json::Arr(outcomes.iter().map(outcome_to_json).collect()),
         ),
-        ("tenant", tenant_ledger_json(after)),
+        ("tenant", wire::ledger_json(after)),
     ]);
     Response::json(200, body.encode())
 }

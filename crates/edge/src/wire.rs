@@ -26,7 +26,7 @@ use crate::json::Json;
 use qrs_server::{Capabilities, OrderedPage};
 use qrs_types::{
     AttrId, Capability, CatAttr, CatId, CatPredicate, CostModel, Endpoint, FilterSupport, Interval,
-    Mutation, MutationKind, MutationLog, OrdinalAttr, Query, QueryOutcome, QueryResponse,
+    Ledger, Mutation, MutationKind, MutationLog, OrdinalAttr, Query, QueryOutcome, QueryResponse,
     RerankError, Schema, ServerError, Tuple, TupleId,
 };
 use std::sync::Arc;
@@ -75,16 +75,19 @@ fn want_bool(v: &Json, key: &str) -> WireResult<bool> {
 /// `{queries, cost_units}`, total since the server started. Cumulative —
 /// not per-request — so a client that missed a response (dropped
 /// connection) reconciles exactly from the next one it does see.
-pub fn ledger_json(queries: u64, cost_units: u64) -> Json {
+pub fn ledger_json(l: Ledger) -> Json {
     Json::obj(vec![
-        ("queries", Json::u64(queries)),
-        ("cost_units", Json::u64(cost_units)),
+        ("queries", Json::u64(l.queries)),
+        ("cost_units", Json::u64(l.cost_units)),
     ])
 }
 
-/// Decode a ledger object back into `(queries, cost_units)`.
-pub fn ledger_from_json(v: &Json) -> WireResult<(u64, u64)> {
-    Ok((want_u64(v, "queries")?, want_u64(v, "cost_units")?))
+/// Decode a ledger object.
+pub fn ledger_from_json(v: &Json) -> WireResult<Ledger> {
+    Ok(Ledger::new(
+        want_u64(v, "queries")?,
+        want_u64(v, "cost_units")?,
+    ))
 }
 
 // ---------------------------------------------------------------- tuples
@@ -846,13 +849,13 @@ mod tests {
             &ServerError::RateLimited {
                 retry_after_ms: Some(1500),
             },
-            ledger_json(3, 7),
+            ledger_json(Ledger::new(3, 7)),
         );
         assert_eq!(resp.header("retry-after"), Some("2"));
         let body = crate::json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(
             ledger_from_json(body.get("ledger").unwrap()).unwrap(),
-            (3, 7)
+            Ledger::new(3, 7)
         );
     }
 

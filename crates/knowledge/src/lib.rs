@@ -18,12 +18,12 @@
 //!   **drained regions** (selections whose complete match set in system
 //!   order is known, from which subsumed requests are synthesized for
 //!   free), **page runs** (drains in progress), **learned result streams**
-//!   (exact top-k outputs keyed by `(selection, rank, tie, strategy)`), and
-//!   the set of observed tuples.
-//! * **Epoch invalidation** — every shard carries a generation counter;
-//!   entries are stamped with the epoch they were recorded under and
-//!   lookups reject older stamps. Invalidation is one atomic increment:
-//!   O(1), no scan, and atomically covers *all* dependent entries.
+//!   (exact top-k outputs keyed by `(selection, rank, tie, strategy)`).
+//! * **Epoch invalidation** — every shard carries a generation counter.
+//!   Invalidation bumps it and drops every entry in one write critical
+//!   section, so a shard holds knowledge of the current snapshot only; a
+//!   paid response is recorded only if the epoch it was fetched under is
+//!   still current.
 //!
 //! The crate is std-only (the workspace's `parking_lot` is the offline
 //! shim over `std::sync`) and depends only on `qrs-types`; `qrs-core`'s
@@ -210,6 +210,7 @@ mod tests {
         let s = plane.shard("site");
         assert!(s.lookup_response(&key, &q, 2).is_none()); // miss
         s.record_response(
+            s.epoch(),
             key.clone(),
             &q,
             2,

@@ -11,15 +11,18 @@
 //! * a **result cache** — exact top-k output streams keyed by
 //!   `(selection, rank, tie, strategy)`, replayed to warm sessions.
 //!
-//! Every store is guarded by the shard's **epoch**: entries remember the
-//! epoch they were recorded under, and lookups reject entries born under
-//! an older epoch. [`SourceShard::invalidate`] is therefore a single atomic
-//! increment — O(1), no scanning — and stale entries are reclaimed lazily
-//! by [`SourceShard::purge_stale`] or overwritten by fresh recordings.
+//! Every store is guarded by the shard's **epoch**, which only moves under
+//! the shard's write lock: [`SourceShard::invalidate`] bumps it and drops
+//! every entry in the same critical section, so the stores only ever hold
+//! knowledge about the current snapshot and nothing stale lingers for a
+//! lookup to scan past. A paid response is recorded only if the epoch it
+//! was fetched under is still current when the recording takes the lock
+//! ([`SourceShard::record_response`]), so an answer that raced a data
+//! change is dropped instead of being replayed as current.
 
 use crate::key::{RequestKey, ResultKey};
 use parking_lot::RwLock;
-use qrs_types::{Query, Tuple, TupleId};
+use qrs_types::{Ledger, Query, Tuple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,27 +73,20 @@ pub struct ResultEntry {
     pub items: Vec<(Arc<Tuple>, u64)>,
     /// The stream is known to end after `items.len()` tuples.
     pub exhausted: bool,
-    /// Queries the sealing run paid-or-saved end to end — what a session
+    /// What the sealing run paid-or-saved end to end — what a session
     /// replaying this exhausted stream avoids spending. Zero until sealed.
-    pub queries_full: u64,
-    /// Cost units of the same full run, under the site's cost model.
-    pub cost_units_full: u64,
+    pub full: Ledger,
 }
 
-/// Epoch-stamped store entry.
-#[derive(Debug, Clone)]
-struct Stamped<T> {
-    epoch: u64,
-    value: T,
-}
-
+/// The four stores. Everything in them describes the current epoch's
+/// snapshot: invalidation empties them under the same write lock that
+/// bumps the epoch.
 #[derive(Debug, Default)]
 struct ShardInner {
-    responses: HashMap<RequestKey, Stamped<CachedResponse>>,
-    drained: HashMap<String, Stamped<DrainedRun>>,
-    page_runs: HashMap<String, Stamped<PageRun>>,
-    results: HashMap<ResultKey, Stamped<ResultEntry>>,
-    observed: HashMap<TupleId, Arc<Tuple>>,
+    responses: HashMap<RequestKey, CachedResponse>,
+    drained: HashMap<String, DrainedRun>,
+    page_runs: HashMap<String, PageRun>,
+    results: HashMap<ResultKey, ResultEntry>,
 }
 
 /// Point-in-time statistics for one shard.
@@ -116,15 +112,13 @@ pub struct ShardStats {
     pub drained: u64,
     /// Live cached result streams.
     pub results: u64,
-    /// Distinct tuples observed from this source.
-    pub observed: u64,
 }
 
 /// Everything learned about one source, behind one lock + one epoch.
 ///
 /// The hot path ([`lookup_response`](SourceShard::lookup_response)) takes
-/// the lock in read mode only; recordings and result-stream extensions take
-/// it in write mode. Invalidation never takes the lock at all.
+/// the lock in read mode only; recordings, result-stream extensions and
+/// invalidation take it in write mode.
 #[derive(Debug, Default)]
 pub struct SourceShard {
     epoch: AtomicU64,
@@ -146,16 +140,21 @@ impl SourceShard {
     }
 
     /// Current epoch. Any knowledge consumer holding derived state should
-    /// compare against the epoch it derived under.
+    /// compare against the epoch it derived under; a request forwarded to
+    /// the site should capture it before the call and hand it to
+    /// [`record_response`](SourceShard::record_response).
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Bump the epoch, atomically invalidating every entry recorded so far.
-    /// O(1): stale entries are rejected lazily on lookup and reclaimed by
-    /// [`purge_stale`](SourceShard::purge_stale).
+    /// Bump the epoch and drop every entry recorded so far, in one write
+    /// critical section: no lookup can see a half-invalidated shard, and
+    /// the memory of the older snapshot is reclaimed at once. Returns the
+    /// new epoch.
     pub fn invalidate(&self) -> u64 {
+        let mut inner = self.inner.write();
+        *inner = ShardInner::default();
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
@@ -194,13 +193,10 @@ impl SourceShard {
     /// site's own semantics (skip `page·k` matches, return up to `k`, set
     /// the more-bit iff a further match exists).
     pub fn lookup_response(&self, key: &RequestKey, q: &Query, k: usize) -> Option<CachedResponse> {
-        let now = self.epoch();
         let inner = self.inner.read();
         if let Some(e) = inner.responses.get(key) {
-            if e.epoch == now {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(e.value.clone());
-            }
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(e.clone());
         }
         let page = match key {
             RequestKey::TopK { .. } => 0,
@@ -212,14 +208,14 @@ impl SourceShard {
         };
         if k > 0 {
             for run in inner.drained.values() {
-                if run.epoch != now || !q.is_subsumed_by(&run.value.query) {
+                if !q.is_subsumed_by(&run.query) {
                     continue;
                 }
                 let skip = page * k;
                 let mut out = Vec::with_capacity(k);
                 let mut seen = 0usize;
                 let mut more = false;
-                for t in &run.value.tuples {
+                for t in &run.tuples {
                     if !q.matches(t) {
                         continue;
                     }
@@ -244,106 +240,83 @@ impl SourceShard {
         None
     }
 
-    /// Record the site's answer to one paid request. Observes every
-    /// returned tuple, caches the exact response, and grows the drained
-    /// map: a non-overflowing top-k answer *is* the full match set of its
-    /// selection, and a contiguous page run is promoted once its final
-    /// page arrives.
+    /// Record the site's answer to one paid request, fetched while the
+    /// shard was at `epoch`. Caches the exact response and grows the
+    /// drained map: a non-overflowing top-k answer *is* the full match set
+    /// of its selection, and a contiguous page run is promoted once its
+    /// final page arrives.
+    ///
+    /// Dropped when `epoch` is no longer current: the source changed while
+    /// the request was in flight, so the answer may describe the older
+    /// snapshot and must not be replayed as current.
     pub fn record_response(
         &self,
+        epoch: u64,
         key: RequestKey,
         q: &Query,
         k: usize,
         tuples: &[Arc<Tuple>],
         more: bool,
     ) {
-        let now = self.epoch();
         let mut inner = self.inner.write();
-        for t in tuples {
-            inner.observed.entry(t.id).or_insert_with(|| Arc::clone(t));
+        if self.epoch() != epoch {
+            return;
         }
         match &key {
             RequestKey::TopK { sel } => {
                 if !more {
-                    inner.drained.insert(
-                        sel.clone(),
-                        Stamped {
-                            epoch: now,
-                            value: DrainedRun {
-                                query: q.clone(),
-                                tuples: tuples.to_vec(),
-                            },
-                        },
-                    );
+                    let run = DrainedRun {
+                        query: q.clone(),
+                        tuples: tuples.to_vec(),
+                    };
+                    inner.drained.insert(sel.clone(), run);
                 }
             }
             RequestKey::Page { sel, page } => {
-                let run = inner
-                    .page_runs
-                    .entry(sel.clone())
-                    .or_insert_with(|| Stamped {
-                        epoch: now,
-                        value: PageRun {
-                            query: q.clone(),
-                            k,
-                            tuples: Vec::new(),
-                            pages_seen: 0,
-                        },
-                    });
-                if run.epoch != now || run.value.k != k {
-                    // Stale or re-keyed run: restart from scratch.
-                    run.epoch = now;
-                    run.value = PageRun {
-                        query: q.clone(),
-                        k,
-                        tuples: Vec::new(),
-                        pages_seen: 0,
-                    };
+                let fresh = || PageRun {
+                    query: q.clone(),
+                    k,
+                    tuples: Vec::new(),
+                    pages_seen: 0,
+                };
+                let run = inner.page_runs.entry(sel.clone()).or_insert_with(fresh);
+                if run.k != k {
+                    // Re-keyed run: restart from scratch.
+                    *run = fresh();
                 }
-                if *page == run.value.pages_seen {
-                    run.value.tuples.extend(tuples.iter().cloned());
-                    run.value.pages_seen += 1;
+                if *page == run.pages_seen {
+                    run.tuples.extend(tuples.iter().cloned());
+                    run.pages_seen += 1;
                     if !more {
                         let done = inner.page_runs.remove(sel).expect("run just touched");
-                        inner.drained.insert(
-                            sel.clone(),
-                            Stamped {
-                                epoch: now,
-                                value: DrainedRun {
-                                    query: done.value.query,
-                                    tuples: done.value.tuples,
-                                },
-                            },
-                        );
+                        let run = DrainedRun {
+                            query: done.query,
+                            tuples: done.tuples,
+                        };
+                        inner.drained.insert(sel.clone(), run);
                     }
                 }
             }
             RequestKey::Ordered { .. } => {}
         }
-        inner.responses.insert(
-            key,
-            Stamped {
-                epoch: now,
-                value: CachedResponse {
-                    tuples: tuples.to_vec(),
-                    more,
-                    synthesized: false,
-                },
-            },
-        );
+        let response = CachedResponse {
+            tuples: tuples.to_vec(),
+            more,
+            synthesized: false,
+        };
+        inner.responses.insert(key, response);
     }
 
     /// Look up a cached exact result stream recorded under the current
     /// epoch. Returns a clone (tuples are `Arc`-shared, so this is cheap).
     pub fn lookup_result(&self, key: &ResultKey) -> Option<ResultEntry> {
-        let now = self.epoch();
         let inner = self.inner.read();
         let e = inner.results.get(key)?;
-        if e.epoch != now || (e.value.items.is_empty() && !e.value.exhausted) {
+        if e.items.is_empty() && !e.exhausted {
             return None;
         }
         self.result_hits.fetch_add(1, Ordering::Relaxed);
-        Some(e.value.clone())
+        Some(e.clone())
     }
 
     /// Append the `index`-th emission of a result stream. The append is
@@ -352,109 +325,48 @@ impl SourceShard {
     /// on the same stream therefore converge on one consistent prefix
     /// instead of interleaving.
     pub fn extend_result(&self, key: &ResultKey, index: usize, tuple: Arc<Tuple>, score_bits: u64) {
-        let now = self.epoch();
         let mut inner = self.inner.write();
-        let e = inner.results.entry(key.clone()).or_insert_with(|| Stamped {
-            epoch: now,
-            value: ResultEntry::default(),
-        });
-        if e.epoch != now {
-            e.epoch = now;
-            e.value = ResultEntry::default();
-        }
-        if e.value.exhausted {
-            return;
-        }
-        if e.value.items.len() == index {
-            e.value.items.push((tuple, score_bits));
+        let e = inner.results.entry(key.clone()).or_default();
+        if !e.exhausted && e.items.len() == index {
+            e.items.push((tuple, score_bits));
         }
     }
 
     /// Mark a result stream as complete after `len` emissions, recording
-    /// what the sealing run cost end to end (`queries_full` /
-    /// `cost_units_full`, paid and saved combined) so fully-replayed
-    /// sessions can attribute their savings. Ignored unless the entry's
-    /// recorded prefix has exactly that length under the current epoch (a
-    /// shorter racing prefix must not be sealed early).
-    pub fn mark_result_exhausted(
-        &self,
-        key: &ResultKey,
-        len: usize,
-        queries_full: u64,
-        cost_units_full: u64,
-    ) {
-        let now = self.epoch();
+    /// what the sealing run cost end to end (`full`, paid and saved
+    /// combined) so fully-replayed sessions can attribute their savings.
+    /// Ignored unless the entry's recorded prefix has exactly that length
+    /// (a shorter racing prefix must not be sealed early).
+    pub fn mark_result_exhausted(&self, key: &ResultKey, len: usize, full: Ledger) {
         let mut inner = self.inner.write();
-        let e = inner.results.entry(key.clone()).or_insert_with(|| Stamped {
-            epoch: now,
-            value: ResultEntry::default(),
-        });
-        if e.epoch != now {
-            e.epoch = now;
-            e.value = ResultEntry::default();
-        }
-        if e.value.items.len() == len {
-            e.value.exhausted = true;
-            e.value.queries_full = queries_full;
-            e.value.cost_units_full = cost_units_full;
+        let e = inner.results.entry(key.clone()).or_default();
+        if e.items.len() == len {
+            e.exhausted = true;
+            e.full = full;
         }
     }
 
     /// Does a live drained region subsume `q` (i.e. could the shard answer
     /// any top-k/page request over `q` without spending)?
     pub fn covers(&self, q: &Query) -> bool {
-        let now = self.epoch();
         let inner = self.inner.read();
-        inner
-            .drained
-            .values()
-            .any(|r| r.epoch == now && q.is_subsumed_by(&r.value.query))
+        inner.drained.values().any(|r| q.is_subsumed_by(&r.query))
     }
 
-    /// A tuple previously observed from this source, by id.
-    pub fn observed(&self, id: TupleId) -> Option<Arc<Tuple>> {
-        self.inner.read().observed.get(&id).cloned()
-    }
-
-    /// Reclaim entries recorded under older epochs. Observed tuples are
-    /// facts about the old snapshot too, so they are dropped as well when
-    /// anything else was stale.
-    pub fn purge_stale(&self) {
-        let now = self.epoch();
-        let mut inner = self.inner.write();
-        let before = inner.responses.len()
-            + inner.drained.len()
-            + inner.page_runs.len()
-            + inner.results.len();
-        inner.responses.retain(|_, e| e.epoch == now);
-        inner.drained.retain(|_, e| e.epoch == now);
-        inner.page_runs.retain(|_, e| e.epoch == now);
-        inner.results.retain(|_, e| e.epoch == now);
-        let after = inner.responses.len()
-            + inner.drained.len()
-            + inner.page_runs.len()
-            + inner.results.len();
-        if after < before {
-            inner.observed.clear();
-        }
-    }
-
-    /// Point-in-time statistics (live-entry counts are computed under the
+    /// Point-in-time statistics (live-entry counts are read under the
     /// read lock; hit/miss counters are relaxed atomics).
     pub fn stats(&self) -> ShardStats {
-        let now = self.epoch();
         let inner = self.inner.read();
         ShardStats {
-            epoch: now,
+            epoch: self.epoch(),
             watermark: self.watermark(),
             hits: self.hits.load(Ordering::Relaxed),
             synthesized: self.synthesized.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             result_hits: self.result_hits.load(Ordering::Relaxed),
-            responses: inner.responses.values().filter(|e| e.epoch == now).count() as u64,
-            drained: inner.drained.values().filter(|e| e.epoch == now).count() as u64,
-            results: inner.results.values().filter(|e| e.epoch == now).count() as u64,
-            observed: inner.observed.len() as u64,
+            responses: inner.responses.len() as u64,
+            drained: inner.drained.len() as u64,
+            results: inner.results.len() as u64,
         }
     }
 }
@@ -462,7 +374,7 @@ impl SourceShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrs_types::{AttrId, Interval};
+    use qrs_types::{AttrId, Interval, TupleId};
 
     fn t(id: u32, v: f64) -> Arc<Tuple> {
         Arc::new(Tuple::new(TupleId(id), vec![v], vec![]))
@@ -479,7 +391,7 @@ mod tests {
         let key = RequestKey::top_k(&q);
         let tuples = vec![t(1, 3.0), t(2, 7.0)];
         assert!(s.lookup_response(&key, &q, 2).is_none());
-        s.record_response(key.clone(), &q, 2, &tuples, true);
+        s.record_response(s.epoch(), key.clone(), &q, 2, &tuples, true);
         let hit = s.lookup_response(&key, &q, 2).expect("recorded");
         assert!(!hit.synthesized);
         assert!(hit.more);
@@ -493,7 +405,7 @@ mod tests {
         let wide = sel(0.0, 10.0);
         // Valid (non-overflow) answer: these three are ALL matches of `wide`.
         let all = vec![t(1, 1.0), t(2, 5.0), t(3, 9.0)];
-        s.record_response(RequestKey::top_k(&wide), &wide, 5, &all, false);
+        s.record_response(s.epoch(), RequestKey::top_k(&wide), &wide, 5, &all, false);
         assert!(s.covers(&sel(2.0, 6.0)));
         // Narrower selection, k = 1: first match is t2, one more exists.
         let narrow = sel(2.0, 9.5);
@@ -521,6 +433,7 @@ mod tests {
         let s = SourceShard::new();
         let q = sel(0.0, 10.0);
         s.record_response(
+            s.epoch(),
             RequestKey::page(&q, 0),
             &q,
             2,
@@ -528,7 +441,14 @@ mod tests {
             true,
         );
         assert!(!s.covers(&q));
-        s.record_response(RequestKey::page(&q, 1), &q, 2, &[t(3, 3.0)], false);
+        s.record_response(
+            s.epoch(),
+            RequestKey::page(&q, 1),
+            &q,
+            2,
+            &[t(3, 3.0)],
+            false,
+        );
         assert!(s.covers(&q));
         let narrow = sel(1.5, 10.0);
         let r = s
@@ -546,9 +466,17 @@ mod tests {
         let s = SourceShard::new();
         let q = sel(0.0, 10.0);
         // Page 1 before page 0: cached exactly, but no run accumulates.
-        s.record_response(RequestKey::page(&q, 1), &q, 2, &[t(3, 3.0)], false);
+        s.record_response(
+            s.epoch(),
+            RequestKey::page(&q, 1),
+            &q,
+            2,
+            &[t(3, 3.0)],
+            false,
+        );
         assert!(!s.covers(&q));
         s.record_response(
+            s.epoch(),
             RequestKey::page(&q, 0),
             &q,
             2,
@@ -557,7 +485,14 @@ mod tests {
         );
         assert!(!s.covers(&q));
         // Now the contiguous tail arrives and the run completes.
-        s.record_response(RequestKey::page(&q, 1), &q, 2, &[t(3, 3.0)], false);
+        s.record_response(
+            s.epoch(),
+            RequestKey::page(&q, 1),
+            &q,
+            2,
+            &[t(3, 3.0)],
+            false,
+        );
         assert!(s.covers(&q));
     }
 
@@ -566,7 +501,7 @@ mod tests {
         let s = SourceShard::new();
         let q = sel(0.0, 10.0);
         let key = RequestKey::top_k(&q);
-        s.record_response(key.clone(), &q, 2, &[t(1, 1.0)], false);
+        s.record_response(s.epoch(), key.clone(), &q, 2, &[t(1, 1.0)], false);
         let rk = ResultKey {
             sel: "s".into(),
             rank: "r".into(),
@@ -583,12 +518,44 @@ mod tests {
         assert!(s.lookup_response(&key, &q, 2).is_none());
         assert!(s.lookup_result(&rk).is_none());
         assert!(!s.covers(&q));
-        s.purge_stale();
         let st = s.stats();
         assert_eq!(st.responses, 0);
         assert_eq!(st.drained, 0);
         assert_eq!(st.results, 0);
-        assert_eq!(st.observed, 0);
+    }
+
+    #[test]
+    fn invalidate_empties_every_store() {
+        let s = SourceShard::new();
+        let q = sel(0.0, 10.0);
+        s.record_response(s.epoch(), RequestKey::top_k(&q), &q, 2, &[t(1, 1.0)], false);
+        // An unfinished page run: only the run map holds it.
+        s.record_response(
+            s.epoch(),
+            RequestKey::page(&q, 0),
+            &q,
+            1,
+            &[t(1, 1.0)],
+            true,
+        );
+        let rk = ResultKey {
+            sel: "s".into(),
+            rank: "r".into(),
+            tie: 0,
+            strategy: "a".into(),
+        };
+        s.extend_result(&rk, 0, t(1, 1.0), 0);
+        {
+            let inner = s.inner.read();
+            assert!(!inner.responses.is_empty() && !inner.drained.is_empty());
+            assert!(!inner.page_runs.is_empty() && !inner.results.is_empty());
+        }
+        s.invalidate();
+        let inner = s.inner.read();
+        assert!(inner.responses.is_empty());
+        assert!(inner.drained.is_empty());
+        assert!(inner.page_runs.is_empty());
+        assert!(inner.results.is_empty());
     }
 
     #[test]
@@ -596,7 +563,7 @@ mod tests {
         let s = SourceShard::new();
         let q = sel(0.0, 10.0);
         let key = RequestKey::top_k(&q);
-        s.record_response(key.clone(), &q, 2, &[t(1, 1.0)], false);
+        s.record_response(s.epoch(), key.clone(), &q, 2, &[t(1, 1.0)], false);
         // Reporting the current (pristine) watermark changes nothing.
         assert!(!s.observe_watermark(0));
         assert_eq!(s.epoch(), 0);
@@ -642,13 +609,13 @@ mod tests {
         assert_eq!(e.items.len(), 2);
         assert_eq!(e.items[1].0.id, TupleId(2));
         assert!(!e.exhausted);
-        s.mark_result_exhausted(&rk, 1, 7, 7); // wrong length: ignored
+        s.mark_result_exhausted(&rk, 1, Ledger::new(7, 7)); // wrong length: ignored
         assert!(!s.lookup_result(&rk).unwrap().exhausted);
-        s.mark_result_exhausted(&rk, 2, 7, 9);
+        s.mark_result_exhausted(&rk, 2, Ledger::new(7, 9));
         let sealed = s.lookup_result(&rk).unwrap();
         assert!(sealed.exhausted);
-        assert_eq!(sealed.queries_full, 7);
-        assert_eq!(sealed.cost_units_full, 9);
+        assert_eq!(sealed.full.queries, 7);
+        assert_eq!(sealed.full.cost_units, 9);
         // Sealed streams reject further appends.
         s.extend_result(&rk, 2, t(3, 3.0), 30);
         assert_eq!(s.lookup_result(&rk).unwrap().items.len(), 2);
@@ -659,6 +626,7 @@ mod tests {
         let s = SourceShard::new();
         let wide = sel(0.0, 10.0);
         s.record_response(
+            s.epoch(),
             RequestKey::top_k(&wide),
             &wide,
             5,
@@ -668,7 +636,7 @@ mod tests {
         let narrow = sel(0.0, 6.0);
         let ok = RequestKey::ordered(&narrow, AttrId(0), qrs_types::Direction::Asc, 0);
         assert!(s.lookup_response(&ok, &narrow, 5).is_none());
-        s.record_response(ok.clone(), &narrow, 5, &[t(1, 1.0)], true);
+        s.record_response(s.epoch(), ok.clone(), &narrow, 5, &[t(1, 1.0)], true);
         let r = s.lookup_response(&ok, &narrow, 5).expect("exact ordered");
         assert!(r.more);
         assert_eq!(r.tuples.len(), 1);

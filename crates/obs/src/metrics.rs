@@ -1,9 +1,10 @@
 //! Lock-striped metrics: monotonic counters plus fixed-bucket log2
 //! histograms, folded from the event stream (and a direct latency hook).
 //!
-//! The striping scheme mirrors `qrs_service::ServiceStats`: each logical
-//! counter is an array of cache-line-padded atomic cells, every thread
-//! picks one cell round-robin at first touch, and reads sum the cells.
+//! This module owns the workspace's one striped counter, [`StripedU64`]:
+//! each logical counter is an array of cache-line-padded atomic cells,
+//! every thread picks one cell round-robin at first touch, and reads sum
+//! the cells. `qrs_service::ServiceStats` counts with the same type.
 //! Totals are exact — every increment lands in exactly one cell — so the
 //! reconciliation tests can demand equality, not approximation, against
 //! the session ledgers. Only the *snapshot* is racy-but-monotonic, which
@@ -38,24 +39,30 @@ thread_local! {
 }
 
 /// A monotonic counter sharded across padded cells: lock-free, exact under
-/// concurrency, contention-free across threads in different slots.
+/// concurrency, contention-free across threads in different slots. Workers
+/// on different cores stop bouncing one cache line per increment — the
+/// classic false-sharing fix — while [`sum`](StripedU64::sum) adds the
+/// cells up.
 #[derive(Debug, Default)]
-struct StripedU64 {
+pub struct StripedU64 {
     cells: [PaddedCell; STRIPES],
 }
 
 impl StripedU64 {
+    /// Add `v` to this thread's cell.
     #[inline]
-    fn add(&self, v: u64) {
+    pub fn add(&self, v: u64) {
         STRIPE.with(|s| self.cells[*s].0.fetch_add(v, Ordering::Relaxed));
     }
 
+    /// Add one.
     #[inline]
-    fn incr(&self) {
+    pub fn incr(&self) {
         self.add(1);
     }
 
-    fn sum(&self) -> u64 {
+    /// The exact total over every cell.
+    pub fn sum(&self) -> u64 {
         self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
 }
@@ -478,5 +485,12 @@ mod tests {
         assert_eq!(s.cost_units_total(), 32_000);
         assert_eq!(s.pulls, 16_000);
         assert_eq!(s.pull_latency_ms.count(), 16_000);
+    }
+
+    #[test]
+    fn padded_cells_do_not_share_cache_lines() {
+        // The de-contention argument rests on cell alignment; pin it.
+        assert_eq!(std::mem::align_of::<PaddedCell>(), 64);
+        assert!(std::mem::size_of::<StripedU64>() >= STRIPES * 64);
     }
 }

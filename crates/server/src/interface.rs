@@ -13,8 +13,8 @@
 //! (never a panic) when a server lacks the feature.
 
 use qrs_types::{
-    AttrId, Capability, CostModel, Direction, FilterSupport, MutationLog, Query, QueryResponse,
-    Schema, ServerError, Tuple,
+    AttrId, Capability, CostModel, Direction, FilterSupport, Ledger, MutationLog, Query,
+    QueryResponse, Schema, ServerError, Tuple,
 };
 use std::sync::Arc;
 
@@ -198,6 +198,12 @@ pub trait SearchInterface: Send + Sync {
     /// weighted ledger.
     fn cost_units_issued(&self) -> u64 {
         self.queries_issued()
+    }
+
+    /// Both counters as one [`Ledger`] reading; the session layer takes
+    /// these before and after each strategy step and charges the delta.
+    fn issued(&self) -> Ledger {
+        Ledger::new(self.queries_issued(), self.cost_units_issued())
     }
 
     /// Page `page` (0-based) of the system-ranked answer to `q`.

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use qrs_core::strategy::CostEstimate;
 use qrs_obs::QueryClass;
-use qrs_types::Ewma;
+use qrs_types::{Ewma, Ledger};
 
 /// Default EWMA smoothing factor: heavy enough that a handful of drifted
 /// sessions visibly moves the scale, light enough that one outlier
@@ -121,23 +121,24 @@ impl Calibration {
         Arc::new(Calibration::new())
     }
 
-    /// Fold one charged request's ledger delta in: `dq` raw queries were
-    /// billed `dc` weighted cost units as request class `class` by a
-    /// session running `strategy`. Zero-query deltas (knowledge replays,
-    /// uncharged refusals) carry no price signal and are ignored.
-    pub fn on_charge(&self, strategy: &str, class: QueryClass, dq: u64, dc: u64) {
-        if dq == 0 {
+    /// Fold one charged request's ledger delta in: `charged.queries` raw
+    /// queries were billed `charged.cost_units` weighted cost units as
+    /// request class `class` by a session running `strategy`. Zero-query
+    /// deltas (knowledge replays, uncharged refusals) carry no price signal
+    /// and are ignored.
+    pub fn on_charge(&self, strategy: &str, class: QueryClass, charged: Ledger) {
+        if charged.queries == 0 {
             return;
         }
         let mut cells = self.cells.lock();
         let cell = cells
             .entry(strategy.to_string())
             .or_insert_with(|| CalCell::new(self.alpha));
-        cell.per_class[class.index()].observe(dc as f64 / dq as f64);
+        cell.per_class[class.index()].observe(charged.cost_units as f64 / charged.queries as f64);
     }
 
     /// Fold one finished session in: it was planned at `predicted`, spent
-    /// `actual_queries` / `actual_cost_units` from its own pocket, and
+    /// `actual` from its own pocket, and
     /// emitted `emitted` rows. Sessions that emitted nothing (or were
     /// predicted free) carry no ratio signal and are ignored — the
     /// re-planning loop also never feeds a *switched* session here, since
@@ -146,8 +147,7 @@ impl Calibration {
         &self,
         strategy: &str,
         predicted: CostEstimate,
-        actual_queries: u64,
-        actual_cost_units: u64,
+        actual: Ledger,
         emitted: u64,
     ) {
         if emitted == 0 || predicted.queries == 0 || predicted.cost_units == 0 {
@@ -158,11 +158,11 @@ impl Calibration {
             .entry(strategy.to_string())
             .or_insert_with(|| CalCell::new(self.alpha));
         cell.query_ratio
-            .observe(actual_queries as f64 / predicted.queries as f64);
+            .observe(actual.queries as f64 / predicted.queries as f64);
         cell.cost_ratio
-            .observe(actual_cost_units as f64 / predicted.cost_units as f64);
+            .observe(actual.cost_units as f64 / predicted.cost_units as f64);
         cell.cost_per_row
-            .observe(actual_cost_units as f64 / emitted as f64);
+            .observe(actual.cost_units as f64 / emitted as f64);
     }
 
     /// The learned `(query_ratio, cost_ratio)` scale for `strategy`, or
@@ -265,7 +265,7 @@ mod tests {
             cost_units: 20,
         };
         // One drifted session: the site charged 3× the advertised cost.
-        c.observe_session("ta-order-by", predicted, 10, 60, 5);
+        c.observe_session("ta-order-by", predicted, Ledger::new(10, 60), 5);
         assert_eq!(c.scale("ta-order-by"), Some((1.0, 3.0)));
         let cal = c.calibrate(
             "ta-order-by",
@@ -279,7 +279,7 @@ mod tests {
         assert_eq!(c.scale("1d-rerank"), None);
         // Replaying the same feed yields bit-identical scales.
         let d = Calibration::new();
-        d.observe_session("ta-order-by", predicted, 10, 60, 5);
+        d.observe_session("ta-order-by", predicted, Ledger::new(10, 60), 5);
         assert_eq!(c.scale("ta-order-by"), d.scale("ta-order-by"));
     }
 
@@ -290,26 +290,25 @@ mod tests {
             queries: 10,
             cost_units: 10,
         };
-        c.observe_session("1d-rerank", p, 5, 5, 0); // emitted nothing
+        c.observe_session("1d-rerank", p, Ledger::new(5, 5), 0); // emitted nothing
         c.observe_session(
             "1d-rerank",
             CostEstimate {
                 queries: 0,
                 cost_units: 0,
             },
-            5,
-            5,
+            Ledger::new(5, 5),
             5,
         ); // predicted free
-        c.on_charge("1d-rerank", QueryClass::TopK, 0, 0); // zero-query delta
+        c.on_charge("1d-rerank", QueryClass::TopK, Ledger::new(0, 0)); // zero-query delta
         assert_eq!(c.scale("1d-rerank"), None);
     }
 
     #[test]
     fn per_class_cost_per_query_tracks_charged_deltas() {
         let c = Calibration::new();
-        c.on_charge("page-down", QueryClass::Page, 2, 4);
-        c.on_charge("page-down", QueryClass::Page, 1, 2);
+        c.on_charge("page-down", QueryClass::Page, Ledger::new(2, 4));
+        c.on_charge("page-down", QueryClass::Page, Ledger::new(1, 2));
         let snap = c.snapshot();
         assert_eq!(snap.len(), 1);
         let s = &snap[0];
@@ -333,13 +332,13 @@ mod tests {
         };
         // Long drifted phase: the scale converges to (1.0, 3.0).
         for _ in 0..64 {
-            c.observe_session("ta-order-by", predicted, 10, 60, 5);
+            c.observe_session("ta-order-by", predicted, Ledger::new(10, 60), 5);
         }
         let (_, drifted) = c.scale("ta-order-by").unwrap();
         assert!((drifted - 3.0).abs() < 1e-6, "drifted scale: {drifted}");
         // The site reverts: honest sessions, one half-life's worth.
         for _ in 0..4 {
-            c.observe_session("ta-order-by", predicted, 10, 20, 5);
+            c.observe_session("ta-order-by", predicted, Ledger::new(10, 20), 5);
         }
         let (_, after_one) = c.scale("ta-order-by").unwrap();
         let bias_one = after_one - 1.0;
@@ -349,7 +348,7 @@ mod tests {
         );
         // A second window halves it again — a quarter of the peak bias.
         for _ in 0..4 {
-            c.observe_session("ta-order-by", predicted, 10, 20, 5);
+            c.observe_session("ta-order-by", predicted, Ledger::new(10, 20), 5);
         }
         let (_, after_two) = c.scale("ta-order-by").unwrap();
         assert!(

@@ -34,7 +34,7 @@ use crate::session::{RankedTuple, Session};
 use qrs_core::TiePolicy;
 use qrs_ranking::RankFn;
 use qrs_types::value::cmp_f64;
-use qrs_types::{MutationKind, Query, RerankError, RetryPolicy, Tuple, TupleId};
+use qrs_types::{Ledger, MutationKind, Query, RerankError, RetryPolicy, Tuple, TupleId};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -113,10 +113,8 @@ pub struct MaintainedSession<'a> {
     /// The feed sequence number this materialization is exact as of.
     watermark: u64,
     redrives: u64,
-    /// Queries spent by inner sessions already replaced by a re-drive.
-    spent_acc: u64,
-    /// Cost units spent by inner sessions already replaced by a re-drive.
-    cost_acc: u64,
+    /// What inner sessions already replaced by a re-drive spent.
+    spent_acc: Ledger,
 }
 
 impl<'a> MaintainedSession<'a> {
@@ -146,8 +144,7 @@ impl<'a> MaintainedSession<'a> {
             suppressed: HashSet::new(),
             watermark,
             redrives: 0,
-            spent_acc: 0,
-            cost_acc: 0,
+            spent_acc: Ledger::default(),
         };
         s.refill()?;
         Ok(s)
@@ -260,8 +257,7 @@ impl<'a> MaintainedSession<'a> {
     /// Discard the overlay and the inner session and answer from scratch
     /// against the current snapshot.
     fn redrive(&mut self) -> Result<(), RerankError> {
-        self.spent_acc += self.session.queries_spent();
-        self.cost_acc += self.session.cost_units_spent();
+        self.spent_acc += self.session.spent();
         self.result.clear();
         self.below.clear();
         self.suppressed.clear();
@@ -367,13 +363,13 @@ impl<'a> MaintainedSession<'a> {
     /// Server queries spent across the initial drive, every repair, and
     /// every re-drive.
     pub fn queries_spent(&self) -> u64 {
-        self.spent_acc + self.session.queries_spent()
+        (self.spent_acc + self.session.spent()).queries
     }
 
     /// Cost units spent across the initial drive, every repair, and every
     /// re-drive (the server's per-query pricing, not the query count).
     pub fn cost_units_spent(&self) -> u64 {
-        self.cost_acc + self.session.cost_units_spent()
+        (self.spent_acc + self.session.spent()).cost_units
     }
 
     /// Queries the *current* inner session answered from the knowledge

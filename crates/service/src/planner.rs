@@ -607,7 +607,7 @@ fn push_caps(buf: &mut String, caps: &[Capability]) {
 mod tests {
     use super::*;
     use qrs_ranking::LinearRank;
-    use qrs_types::{CatPredicate, FilterSupport, Interval, OrdinalAttr};
+    use qrs_types::{CatPredicate, FilterSupport, Interval, Ledger, OrdinalAttr};
 
     fn schema2() -> Arc<Schema> {
         Arc::new(Schema::new(
@@ -767,8 +767,7 @@ mod tests {
                 queries: 10,
                 cost_units: 10,
             },
-            10_000,
-            10_000,
+            Ledger::new(10_000, 10_000),
             5,
         );
         let plan = p

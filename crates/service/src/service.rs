@@ -749,18 +749,17 @@ impl<'a> SessionBuilder<'a> {
                         },
                         strategy: strategy.name().to_string(),
                     });
-                let (replay, exhausted, ledger) = match result_key
+                let entry = result_key
                     .as_ref()
                     .and_then(|key| gate.shard().lookup_result(key))
-                {
-                    Some(entry) => (
-                        VecDeque::from(entry.items),
-                        entry.exhausted,
-                        (entry.queries_full, entry.cost_units_full),
-                    ),
-                    None => (VecDeque::new(), false, (0, 0)),
-                };
-                SessionKnowledge::new(Arc::clone(gate), result_key, replay, exhausted, ledger)
+                    .unwrap_or_default();
+                SessionKnowledge {
+                    gate: Arc::clone(gate),
+                    result_key,
+                    replay: VecDeque::from(entry.items),
+                    replay_exhausted: entry.exhausted,
+                    full_ledger: entry.exhausted.then_some(entry.full),
+                }
             })
         } else {
             None

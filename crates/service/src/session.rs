@@ -32,7 +32,7 @@ use qrs_knowledge::ResultKey;
 use qrs_obs::{BudgetScope, EventKind, QueryClass};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
-use qrs_types::{AdaptiveConfig, Query, RerankError, Tuple};
+use qrs_types::{AdaptiveConfig, Ledger, Query, RerankError, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -47,9 +47,10 @@ use std::sync::Arc;
 ///   gate's saved-ledger deltas in-lock, exactly like paid spend;
 /// * the **result replay** — a cached exact output stream for this
 ///   `(selection, rank, tie, strategy)` is emitted directly (`replay`),
-///   after which the strategy resumes from scratch skipping the first
-///   `skip` emissions; its replayed requests hit the response cache, so
-///   resumption costs zero server queries.
+///   after which the strategy resumes from scratch and the session's skip
+///   counter swallows its re-derivation of the replayed prefix; its
+///   replayed requests hit the response cache, so resumption costs zero
+///   server queries.
 pub(crate) struct SessionKnowledge {
     pub(crate) gate: Arc<KnowledgeGate>,
     /// Key of this session's exact output stream in the shard's result
@@ -58,43 +59,13 @@ pub(crate) struct SessionKnowledge {
     pub(crate) result_key: Option<ResultKey>,
     /// Cached `(tuple, score bits)` prefix still to emit.
     pub(crate) replay: VecDeque<(Arc<Tuple>, u64)>,
-    /// Length of the cached prefix: strategy emissions `0..skip` were
-    /// already replayed and are swallowed when the strategy re-derives
-    /// them.
-    pub(crate) skip: usize,
     /// The cached stream is known complete: once `replay` drains, the
     /// session is exhausted without ever driving the strategy.
     pub(crate) replay_exhausted: bool,
-    /// `(queries, cost_units)` the sealing run paid end to end — credited
-    /// to the saved ledger when a complete replay finishes.
-    pub(crate) full_ledger: (u64, u64),
-    /// One-shot latch for that credit.
-    credited: bool,
-    /// Post-residual emissions the strategy itself has produced — the
-    /// 0-based stream index used for recording and for `skip`.
-    strategy_emitted: usize,
-}
-
-impl SessionKnowledge {
-    pub(crate) fn new(
-        gate: Arc<KnowledgeGate>,
-        result_key: Option<ResultKey>,
-        replay: VecDeque<(Arc<Tuple>, u64)>,
-        replay_exhausted: bool,
-        full_ledger: (u64, u64),
-    ) -> Self {
-        let skip = replay.len();
-        SessionKnowledge {
-            gate,
-            result_key,
-            replay,
-            skip,
-            replay_exhausted,
-            full_ledger,
-            credited: false,
-            strategy_emitted: 0,
-        }
-    }
+    /// What the sealing run paid end to end, still to be credited to the
+    /// saved ledger when a complete replay finishes; taken by that
+    /// one-shot credit.
+    pub(crate) full_ledger: Option<Ledger>,
 }
 
 /// Mid-flight re-planning state, armed at open time for built-in-strategy
@@ -209,20 +180,19 @@ pub struct Session<'a> {
     /// oblivious to which.
     strategy: Box<dyn RerankStrategy>,
     emitted: usize,
-    /// Queries issued inside this session's own strategy steps. Counted
-    /// under the shared-state lock, so interleaved queries from concurrent
-    /// sessions are never misattributed.
-    spent: u64,
-    /// Weighted cost units charged by those same steps, metered in-lock
-    /// alongside `spent` from the server's weighted ledger.
-    cost_spent: u64,
-    /// Queries answered from knowledge instead of the server, attributed
-    /// in-lock from the gate's saved ledger (plus the one-shot full-replay
-    /// credit).
-    saved: u64,
-    /// Cost units those knowledge hits would have been billed.
-    cost_saved: u64,
-    /// Per-session cap on `spent` (the service-wide budget still applies).
+    /// Queries and weighted cost units charged inside this session's own
+    /// strategy steps. Counted under the shared-state lock, so interleaved
+    /// queries from concurrent sessions are never misattributed.
+    spent: Ledger,
+    /// What knowledge answered instead of the server, attributed in-lock
+    /// from the gate's saved ledger (plus the one-shot full-replay credit).
+    saved: Ledger,
+    /// Post-residual strategy emissions still to swallow: the prefix the
+    /// user has already seen (from a replay, or from the strategy a
+    /// mid-flight switch abandoned) and the current strategy re-derives.
+    skip: usize,
+    /// Per-session cap on `spent.queries` (the service-wide budget still
+    /// applies).
     budget_limit: Option<u64>,
     /// Cursor-step attempts, counted in-lock alongside `spent` so failed
     /// attempts' query spend stays attributed to this session.
@@ -248,10 +218,6 @@ pub struct Session<'a> {
     /// Mid-flight re-planning state (`None` on non-adaptive services and
     /// custom-strategy sessions).
     adaptive: Option<AdaptiveState>,
-    /// After a plane-less switch: user-visible emissions the replacement
-    /// strategy will re-derive and the session must swallow. (With a
-    /// knowledge plane attached, its `skip` machinery does this instead.)
-    switch_skip: usize,
     /// Divergence-triggered switches performed (0 or 1).
     switches: u64,
 }
@@ -275,10 +241,9 @@ impl<'a> Session<'a> {
             rank,
             strategy,
             emitted: 0,
-            spent: 0,
-            cost_spent: 0,
-            saved: 0,
-            cost_saved: 0,
+            spent: Ledger::default(),
+            saved: Ledger::default(),
+            skip: knowledge.as_ref().map_or(0, |k| k.replay.len()),
             budget_limit,
             attempts: 0,
             retries: 0,
@@ -288,7 +253,6 @@ impl<'a> Session<'a> {
             obs_id,
             class,
             adaptive,
-            switch_skip: 0,
             switches: 0,
         }
     }
@@ -343,51 +307,26 @@ impl<'a> Session<'a> {
         // shared-state lock. Scores replay from their recorded bit
         // patterns, so a warm stream is byte-identical to the cold one.
         if let Some(k) = &mut self.knowledge {
-            if let Some((tuple, bits)) = k.replay.pop_front() {
-                self.emitted += 1;
-                self.svc.stats_ref().on_emit();
-                let mut credit = None;
-                if k.replay.is_empty() && k.replay_exhausted && !k.credited {
-                    k.credited = true;
-                    let (q, c) = k.full_ledger;
-                    self.saved += q;
-                    self.cost_saved += c;
-                    self.svc.stats_ref().on_saved(q, c);
-                    credit = Some((q, c));
-                }
-                if let Some((q, c)) = credit {
-                    // The one-shot full-replay credit is a knowledge hit
-                    // like any other: the sealing run's whole ledger lands
-                    // on the saved column at once.
-                    self.emit_obs(|| EventKind::KnowledgeHit {
-                        queries: q,
-                        cost_units: c,
-                    });
-                }
-                return Ok(Some(RankedTuple {
-                    rank: self.emitted,
-                    score: f64::from_bits(bits),
-                    tuple,
-                }));
+            let item = k.replay.pop_front();
+            // A complete cached stream (possibly empty) ends the session
+            // without ever driving the strategy.
+            let done = k.replay.is_empty() && k.replay_exhausted;
+            let credit = if done { k.full_ledger.take() } else { None };
+            if let Some(full) = credit {
+                // The one-shot full-replay credit is a knowledge hit like
+                // any other: the sealing run's whole ledger lands on the
+                // saved column at once.
+                self.saved += full;
+                self.svc.stats_ref().on_saved(full);
+                self.emit_obs(|| EventKind::KnowledgeHit {
+                    queries: full.queries,
+                    cost_units: full.cost_units,
+                });
             }
-            if k.replay_exhausted {
-                // The cached stream was complete (possibly empty): the
-                // session is exhausted without ever driving the strategy.
-                let mut credit = None;
-                if !k.credited {
-                    k.credited = true;
-                    let (q, c) = k.full_ledger;
-                    self.saved += q;
-                    self.cost_saved += c;
-                    self.svc.stats_ref().on_saved(q, c);
-                    credit = Some((q, c));
-                }
-                if let Some((q, c)) = credit {
-                    self.emit_obs(|| EventKind::KnowledgeHit {
-                        queries: q,
-                        cost_units: c,
-                    });
-                }
+            if let Some((tuple, bits)) = item {
+                return Ok(Some(self.emit(tuple, f64::from_bits(bits))));
+            }
+            if done {
                 return Ok(None);
             }
         }
@@ -410,8 +349,8 @@ impl<'a> Session<'a> {
                 return Err(e);
             }
             if let Some(limit) = self.budget_limit {
-                if self.spent >= limit {
-                    let spent = self.spent;
+                if self.spent.queries >= limit {
+                    let spent = self.spent.queries;
                     self.emit_obs(|| EventKind::BudgetTrip {
                         scope: BudgetScope::Session,
                         spent,
@@ -427,54 +366,11 @@ impl<'a> Session<'a> {
                     // must not inflate sleeps for later, unrelated
                     // failures.
                     self.retry.reset_backoff();
-                    if let Some(r) = &self.residual {
-                        if !r.matches(&tuple) {
-                            // Paid for but filtered client-side: the
-                            // planner relaxed a predicate the site could
-                            // not evaluate, and this tuple fails it. Rank
-                            // order is unaffected — keep pulling.
-                            retries_this_step = 0;
-                            continue;
-                        }
+                    if let Some(hit) = self.admit(tuple) {
+                        return Ok(Some(hit));
                     }
-                    if let Some(k) = &mut self.knowledge {
-                        // Post-residual stream index: the cache stores the
-                        // user-visible stream, so residual-filtered tuples
-                        // never count.
-                        let idx = k.strategy_emitted;
-                        k.strategy_emitted += 1;
-                        if let Some(key) = &k.result_key {
-                            k.gate.shard().extend_result(
-                                key,
-                                idx,
-                                Arc::clone(&tuple),
-                                self.rank.score(&tuple).to_bits(),
-                            );
-                        }
-                        if idx < k.skip {
-                            // Already emitted from the replayed prefix;
-                            // the strategy is just catching up (its
-                            // requests hit the response cache, so this
-                            // costs nothing).
-                            retries_this_step = 0;
-                            continue;
-                        }
-                    } else if self.switch_skip > 0 {
-                        // Plane-less mid-flight switch: the replacement
-                        // strategy re-derives the rows the abandoned one
-                        // already emitted; swallow them so the
-                        // user-visible stream stays exact.
-                        self.switch_skip -= 1;
-                        retries_this_step = 0;
-                        continue;
-                    }
-                    self.emitted += 1;
-                    self.svc.stats_ref().on_emit();
-                    return Ok(Some(RankedTuple {
-                        rank: self.emitted,
-                        score: self.rank.score(&tuple),
-                        tuple,
-                    }));
+                    retries_this_step = 0;
+                    continue;
                 }
                 Ok(StrategyStep::Progress) => {
                     // Partial work (one page fetched): loop to re-check
@@ -487,22 +383,17 @@ impl<'a> Session<'a> {
                     if let Some(k) = &self.knowledge {
                         if let Some(key) = &k.result_key {
                             // Seal the cache entry: the stream is complete
-                            // at exactly `strategy_emitted` tuples, and the
-                            // whole run cost `spent + saved` (what a future
-                            // full replay deserves credit for).
-                            let items = k.strategy_emitted;
-                            let queries_full = self.spent + self.saved;
-                            let cost_units_full = self.cost_spent + self.cost_saved;
-                            k.gate.shard().mark_result_exhausted(
-                                key,
-                                items,
-                                queries_full,
-                                cost_units_full,
-                            );
+                            // at exactly the strategy's post-residual
+                            // emission count, and the whole run cost
+                            // `spent + saved` (what a future full replay
+                            // deserves credit for).
+                            let items = self.stream_index();
+                            let full = self.spent + self.saved;
+                            k.gate.shard().mark_result_exhausted(key, items, full);
                             self.emit_obs(|| EventKind::KnowledgeSeal {
                                 items: items as u64,
-                                queries_full,
-                                cost_units_full,
+                                queries_full: full.queries,
+                                cost_units_full: full.cost_units,
                             });
                         }
                     }
@@ -566,6 +457,60 @@ impl<'a> Session<'a> {
         }
     }
 
+    /// The one admit stage every strategy emission passes through, in
+    /// order:
+    ///
+    /// 1. the **residual filter** — a tuple paid for but failing a
+    ///    predicate the planner relaxed out of the site query is dropped
+    ///    (rank order is unaffected);
+    /// 2. **result-stream recording** — the survivor is appended to this
+    ///    session's cached output stream at its post-residual index (the
+    ///    cache stores the user-visible stream);
+    /// 3. the **prefix skip** — while `skip` is positive the tuple was
+    ///    already emitted, by a replayed prefix or by the strategy a
+    ///    mid-flight switch abandoned, and is swallowed.
+    ///
+    /// Returns the ranked tuple to hand the caller, or `None` when the
+    /// emission was swallowed and the pull must continue.
+    fn admit(&mut self, tuple: Arc<Tuple>) -> Option<RankedTuple> {
+        if self.residual.as_ref().is_some_and(|r| !r.matches(&tuple)) {
+            return None;
+        }
+        let score = self.rank.score(&tuple);
+        if let Some(k) = &self.knowledge {
+            if let Some(key) = &k.result_key {
+                let idx = self.stream_index();
+                k.gate
+                    .shard()
+                    .extend_result(key, idx, Arc::clone(&tuple), score.to_bits());
+            }
+        }
+        if self.skip > 0 {
+            self.skip -= 1;
+            return None;
+        }
+        Some(self.emit(tuple, score))
+    }
+
+    /// Post-residual emissions the current strategy has produced so far:
+    /// every one was either emitted or is being skipped. Only meaningful
+    /// once any replayed prefix has drained (the strategy never runs
+    /// before then).
+    fn stream_index(&self) -> usize {
+        self.emitted - self.skip
+    }
+
+    /// Hand one tuple to the caller at the next rank.
+    fn emit(&mut self, tuple: Arc<Tuple>, score: f64) -> RankedTuple {
+        self.emitted += 1;
+        self.svc.stats_ref().on_emit();
+        RankedTuple {
+            rank: self.emitted,
+            score,
+            tuple,
+        }
+    }
+
     /// The mid-flight divergence check: when this session's weighted spend
     /// exceeds `divergence_ratio ×` its calibrated prediction while rows
     /// remain to the horizon (and at least `min_spend` units were paid —
@@ -581,12 +526,12 @@ impl<'a> Session<'a> {
             || !ad.cfg.replan
             || ad.alternates.is_empty()
             || self.emitted >= ad.horizon
-            || self.cost_spent < ad.cfg.min_spend
+            || self.spent.cost_units < ad.cfg.min_spend
         {
             return;
         }
         let threshold = ad.cfg.divergence_ratio * ad.calibrated.cost_units.max(1) as f64;
-        if self.cost_spent as f64 <= threshold {
+        if self.spent.cost_units as f64 <= threshold {
             return;
         }
         // Re-rank the alternates under what calibration knows *now* — the
@@ -623,25 +568,26 @@ impl<'a> Session<'a> {
         );
         self.residual = chosen.residual.clone();
         self.class = query_class(&chosen.algorithm);
-        match &mut self.knowledge {
-            Some(k) => {
-                // The switched session's stream no longer matches the
-                // planned strategy's cache key — stop recording (a blended
-                // ledger would poison a future replay's credit), and let
-                // the skip machinery swallow the re-derived prefix. The
-                // response-level gate still serves the replacement's
-                // requests, which is where "without losing paid-for
-                // knowledge" comes from: probes the abandoned strategy
-                // paid for replay free.
-                k.result_key = None;
-                k.strategy_emitted = 0;
-                k.skip = self.emitted;
-            }
-            None => self.switch_skip = self.emitted,
+        // The replacement re-derives the rows the abandoned strategy
+        // already emitted; the admit stage swallows them so the
+        // user-visible stream stays exact.
+        self.skip = self.emitted;
+        if let Some(k) = &mut self.knowledge {
+            // The switched session's stream no longer matches the planned
+            // strategy's cache key — stop recording (a blended ledger would
+            // poison a future replay's credit). The response-level gate
+            // still serves the replacement's requests, which is where
+            // "without losing paid-for knowledge" comes from: probes the
+            // abandoned strategy paid for replay free.
+            k.result_key = None;
         }
         self.switches += 1;
         self.svc.stats_ref().on_switch();
-        let (at, q, c) = (self.emitted as u64, self.spent, self.cost_spent);
+        let (at, q, c) = (
+            self.emitted as u64,
+            self.spent.queries,
+            self.spent.cost_units,
+        );
         let to = self.strategy.name().to_string();
         self.emit_obs(|| EventKind::Replanned {
             from_strategy: from,
@@ -667,71 +613,61 @@ impl<'a> Session<'a> {
         // saved ledger; misses pass through and land on the paid one. Both
         // ledgers are read as deltas across this step under the lock, so
         // attribution stays exact per session either way.
-        let server: Arc<dyn SearchInterface> = match &self.knowledge {
-            Some(k) => Arc::clone(&k.gate) as Arc<dyn SearchInterface>,
-            None => Arc::clone(self.svc.server()),
+        let gate = self.knowledge.as_ref().map(|k| &k.gate);
+        let server: &dyn SearchInterface = match gate {
+            Some(g) => g.as_ref(),
+            None => self.svc.server().as_ref(),
         };
+        let gate_saved = || gate.map_or(Ledger::default(), |g| g.saved());
         let mut st = self.svc.state().lock();
-        let before = server.queries_issued();
-        let before_cost = server.cost_units_issued();
-        let before_saved = self
-            .knowledge
-            .as_ref()
-            .map(|k| (k.gate.queries_saved(), k.gate.cost_units_saved()));
+        let before = server.issued();
+        let saved_before = gate_saved();
         let t = {
-            let mut io = StrategyIo::new(server.as_ref(), &mut st);
+            let mut io = StrategyIo::new(server, &mut st);
             self.strategy.next_step(&mut io)
         };
         self.attempts += 1;
-        let dq = server.queries_issued() - before;
-        let dc = server.cost_units_issued() - before_cost;
-        self.spent += dq;
-        self.cost_spent += dc;
-        self.svc.stats_ref().on_spend(dq, dc);
-        let (dsq, dsc) = match (&self.knowledge, before_saved) {
-            (Some(k), Some((bq, bc))) => {
-                (k.gate.queries_saved() - bq, k.gate.cost_units_saved() - bc)
-            }
-            _ => (0, 0),
-        };
-        if dsq > 0 || dsc > 0 {
-            self.saved += dsq;
-            self.cost_saved += dsc;
-            self.svc.stats_ref().on_saved(dsq, dsc);
+        let paid = server.issued() - before;
+        self.spent += paid;
+        self.svc.stats_ref().on_spend(paid);
+        let hit = gate_saved() - saved_before;
+        if !hit.is_zero() {
+            self.saved += hit;
+            self.svc.stats_ref().on_saved(hit);
         }
         drop(st);
         // Observability, outside the lock: the deltas are already captured,
         // so emission order cannot change attribution. `RequestCharged`
         // carries the very numbers the ledgers above accumulated — the
         // monitor's actual column reconciles exactly by construction.
-        if dq > 0 || dc > 0 {
+        if !paid.is_zero() {
             // Train the calibration store with the same in-lock delta the
             // ledgers just accumulated — outside the lock, like obs.
             if let Some(ad) = &self.adaptive {
                 if ad.cfg.calibrate {
                     self.svc
                         .calibration()
-                        .on_charge(self.strategy.name(), self.class, dq, dc);
+                        .on_charge(self.strategy.name(), self.class, paid);
                 }
             }
             self.emit_obs(|| EventKind::RequestCharged {
                 class: self.class,
-                queries: dq,
-                cost_units: dc,
+                queries: paid.queries,
+                cost_units: paid.cost_units,
             });
             if self.knowledge.is_some() {
                 // A gated step that still paid the server is a miss; the
                 // duplicate deltas let hit/miss ratios fold without joins.
                 self.emit_obs(|| EventKind::KnowledgeMiss {
-                    queries: dq,
-                    cost_units: dc,
+                    queries: paid.queries,
+                    cost_units: paid.cost_units,
                 });
             }
         }
-        if dsq > 0 || dsc > 0 {
+        if !hit.is_zero() {
             self.emit_obs(|| EventKind::KnowledgeHit {
-                queries: dsq,
-                cost_units: dsc,
+                queries: hit.queries,
+                cost_units: hit.cost_units,
             });
         }
         t
@@ -779,7 +715,7 @@ impl<'a> Session<'a> {
     /// around this session's own cursor calls, so interleaved queries from
     /// other sessions are never attributed here.
     pub fn queries_spent(&self) -> u64 {
-        self.spent
+        self.spent.queries
     }
 
     /// Weighted cost units this session has been charged under the
@@ -787,7 +723,7 @@ impl<'a> Session<'a> {
     /// as [`Session::queries_spent`]. On flat-model sites this equals the
     /// query count.
     pub fn cost_units_spent(&self) -> u64 {
-        self.cost_spent
+        self.spent.cost_units
     }
 
     /// Queries this session answered from the knowledge plane instead of
@@ -797,13 +733,18 @@ impl<'a> Session<'a> {
     /// `queries_spent + queries_saved` equals what a cold session would
     /// have spent on the same request.
     pub fn queries_saved(&self) -> u64 {
-        self.saved
+        self.saved.queries
     }
 
     /// Cost units those knowledge hits would have been billed, under the
     /// server's advertised cost model.
     pub fn cost_units_saved(&self) -> u64 {
-        self.cost_saved
+        self.saved.cost_units
+    }
+
+    /// Both spend currencies as one ledger (the accessors above, paired).
+    pub(crate) fn spent(&self) -> Ledger {
+        self.spent
     }
 
     /// This session's query cap, if one was set at build time.
@@ -839,10 +780,10 @@ impl<'a> Session<'a> {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             emitted: self.emitted,
-            queries_spent: self.spent,
-            cost_units_spent: self.cost_spent,
-            queries_saved: self.saved,
-            cost_units_saved: self.cost_saved,
+            queries_spent: self.spent.queries,
+            cost_units_spent: self.spent.cost_units,
+            queries_saved: self.saved.queries,
+            cost_units_saved: self.saved.cost_units,
             attempts_made: self.attempts,
             retries_spent: self.retries,
             strategy_switches: self.switches,
@@ -860,12 +801,11 @@ impl Drop for Session<'_> {
         // (a fully knowledge-replayed run says nothing about the site's
         // prices).
         if let Some(ad) = &self.adaptive {
-            if ad.cfg.calibrate && !ad.switched && self.emitted > 0 && self.spent > 0 {
+            if ad.cfg.calibrate && !ad.switched && self.emitted > 0 && self.spent.queries > 0 {
                 self.svc.calibration().observe_session(
                     &ad.planned_name,
                     ad.predicted,
                     self.spent,
-                    self.cost_spent,
                     self.emitted as u64,
                 );
             }
@@ -875,10 +815,10 @@ impl Drop for Session<'_> {
         // session ordinal here. One branch and nothing else when disabled.
         self.emit_obs(|| EventKind::SessionClose {
             emitted: self.emitted as u64,
-            queries_spent: self.spent,
-            cost_units_spent: self.cost_spent,
-            queries_saved: self.saved,
-            cost_units_saved: self.cost_saved,
+            queries_spent: self.spent.queries,
+            cost_units_spent: self.spent.cost_units,
+            queries_saved: self.saved.queries,
+            cost_units_saved: self.saved.cost_units,
         });
     }
 }
@@ -888,10 +828,8 @@ impl std::fmt::Debug for Session<'_> {
         f.debug_struct("Session")
             .field("strategy", &self.strategy.name())
             .field("emitted", &self.emitted)
-            .field("queries_spent", &self.spent)
-            .field("cost_units_spent", &self.cost_spent)
-            .field("queries_saved", &self.saved)
-            .field("cost_units_saved", &self.cost_saved)
+            .field("spent", &self.spent)
+            .field("saved", &self.saved)
             .field("attempts_made", &self.attempts)
             .field("retries_spent", &self.retries)
             .field("strategy_switches", &self.switches)

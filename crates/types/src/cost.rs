@@ -17,6 +17,7 @@
 use crate::query::Query;
 use crate::schema::AttrId;
 use std::fmt;
+use std::ops::{Add, AddAssign, Sub};
 
 /// The shape of one charged request, used to price it under a
 /// [`CostModel`]. Which class applies is decided by the *entry point* (a
@@ -208,6 +209,61 @@ impl fmt::Display for CostModel {
             write!(f, " +{a}:{u}")?;
         }
         Ok(())
+    }
+}
+
+/// Spend in the paper's currency: raw queries and the weighted cost units
+/// a [`CostModel`] bills for them. Every layer that moves spend — paid,
+/// saved, per step, per session, per tenant — moves one of these.
+///
+/// ```
+/// use qrs_types::Ledger;
+/// let mut total = Ledger::new(3, 7);
+/// total += Ledger::new(1, 2);
+/// assert_eq!(total - Ledger::new(3, 7), Ledger::new(1, 2));
+/// assert!(Ledger::default().is_zero());
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Ledger {
+    /// Raw queries, the paper's cost metric.
+    pub queries: u64,
+    /// Weighted cost units under the site's cost model.
+    pub cost_units: u64,
+}
+
+impl Ledger {
+    /// A ledger of `queries` queries billed `cost_units` units.
+    pub const fn new(queries: u64, cost_units: u64) -> Self {
+        Ledger {
+            queries,
+            cost_units,
+        }
+    }
+
+    /// Nothing spent in either currency.
+    pub fn is_zero(&self) -> bool {
+        self.queries == 0 && self.cost_units == 0
+    }
+}
+
+impl Add for Ledger {
+    type Output = Ledger;
+    fn add(self, rhs: Ledger) -> Ledger {
+        Ledger::new(self.queries + rhs.queries, self.cost_units + rhs.cost_units)
+    }
+}
+
+impl AddAssign for Ledger {
+    fn add_assign(&mut self, rhs: Ledger) {
+        *self = *self + rhs;
+    }
+}
+
+/// The delta between two readings of a monotonic ledger (`after - before`).
+impl Sub for Ledger {
+    type Output = Ledger;
+    fn sub(self, rhs: Ledger) -> Ledger {
+        Ledger::new(self.queries - rhs.queries, self.cost_units - rhs.cost_units)
     }
 }
 

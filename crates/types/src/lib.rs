@@ -53,7 +53,7 @@ pub mod value;
 pub use adaptive::{AdaptiveConfig, Ewma};
 pub use capability::FilterSupport;
 pub use circuit::CircuitPolicy;
-pub use cost::{CostModel, RequestKind};
+pub use cost::{CostModel, Ledger, RequestKind};
 pub use dataset::Dataset;
 pub use direction::Direction;
 pub use error::{Capability, RerankError, ServerError, TypeError};

@@ -8,6 +8,7 @@
 //! honors `QRS_EXEC_THREADS`, so CI sweeps both.
 
 use query_reranking::datagen::synthetic::uniform;
+use query_reranking::knowledge::KnowledgePlane;
 use query_reranking::obs::{EventKind, ObsHandle, Recorder};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
@@ -95,57 +96,64 @@ fn divergence_switch_is_byte_identical_to_oracle_and_strictly_cheaper() {
     let static_cost = s.cost_units_spent();
     drop(s);
 
-    // Adaptive session on an identical twin server.
-    let server = Arc::new(drifted_server(data.clone(), seed));
-    let svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, N)
-        .with_adaptive(AdaptiveConfig::enabled())
-        .with_observer(ObsHandle::for_site("drifted"));
-    let mut s = svc
-        .session(Query::all(), rank2())
-        .horizon(HORIZON)
-        .open()
-        .unwrap();
-    let mut got = Vec::new();
-    while let Some(hit) = s.next().unwrap() {
-        got.push((hit.tuple.id.0, hit.score.to_bits()));
-        if got.len() == HORIZON {
-            break;
+    // Adaptive session on an identical twin server, once without and once
+    // with a (cold) knowledge plane: the session's prefix skip swallows the
+    // replacement strategy's re-derived rows either way.
+    for with_plane in [false, true] {
+        let server = Arc::new(drifted_server(data.clone(), seed));
+        let mut svc = RerankService::new(Arc::clone(&server) as Arc<dyn SearchInterface>, N)
+            .with_adaptive(AdaptiveConfig::enabled())
+            .with_observer(ObsHandle::for_site("drifted"));
+        if with_plane {
+            svc = svc.with_knowledge(Arc::new(KnowledgePlane::new()), "drifted");
         }
+        let mut s = svc
+            .session(Query::all(), rank2())
+            .horizon(HORIZON)
+            .open()
+            .unwrap();
+        let mut got = Vec::new();
+        while let Some(hit) = s.next().unwrap() {
+            got.push((hit.tuple.id.0, hit.score.to_bits()));
+            if got.len() == HORIZON {
+                break;
+            }
+        }
+        assert_eq!(got, want, "switched stream diverged from the dense oracle");
+        assert_eq!(s.strategy_switches(), 1, "exactly one mid-flight switch");
+        assert_eq!(
+            s.strategy_name(),
+            "md-rerank",
+            "the only feasible alternate is the md cursor"
+        );
+        let adaptive_cost = s.cost_units_spent();
+        assert_eq!(s.cost_units_spent(), server.cost_units_issued());
+        let stats = s.stats();
+        assert_eq!(stats.strategy_switches, 1);
+        drop(s);
+
+        assert!(
+            adaptive_cost < static_cost,
+            "switching must beat riding the mispriced plan: {adaptive_cost} vs {static_cost}"
+        );
+
+        // The switch surfaced everywhere it should: the service ledger, the
+        // metrics registry, and the fleet monitor's per-strategy rows.
+        assert_eq!(svc.stats().strategy_switches, 1);
+        assert_eq!(svc.observer().metrics().unwrap().replans, 1);
+        let report = svc.monitor_report();
+        assert_eq!(report.switches_total(), 1);
+        let origin = report
+            .rows
+            .iter()
+            .find(|r| r.strategy == "ta-order-by")
+            .expect("origin strategy row");
+        assert_eq!(origin.switches, 1, "switch counted on the origin row");
+        assert!(
+            report.rows.iter().any(|r| r.strategy == "md-rerank"),
+            "destination row created for post-switch charges"
+        );
     }
-    assert_eq!(got, want, "switched stream diverged from the dense oracle");
-    assert_eq!(s.strategy_switches(), 1, "exactly one mid-flight switch");
-    assert_eq!(
-        s.strategy_name(),
-        "md-rerank",
-        "the only feasible alternate is the md cursor"
-    );
-    let adaptive_cost = s.cost_units_spent();
-    assert_eq!(s.cost_units_spent(), server.cost_units_issued());
-    let stats = s.stats();
-    assert_eq!(stats.strategy_switches, 1);
-    drop(s);
-
-    assert!(
-        adaptive_cost < static_cost,
-        "switching must beat riding the mispriced plan: {adaptive_cost} vs {static_cost}"
-    );
-
-    // The switch surfaced everywhere it should: the service ledger, the
-    // metrics registry, and the fleet monitor's per-strategy rows.
-    assert_eq!(svc.stats().strategy_switches, 1);
-    assert_eq!(svc.observer().metrics().unwrap().replans, 1);
-    let report = svc.monitor_report();
-    assert_eq!(report.switches_total(), 1);
-    let origin = report
-        .rows
-        .iter()
-        .find(|r| r.strategy == "ta-order-by")
-        .expect("origin strategy row");
-    assert_eq!(origin.switches, 1, "switch counted on the origin row");
-    assert!(
-        report.rows.iter().any(|r| r.strategy == "md-rerank"),
-        "destination row created for post-switch charges"
-    );
 }
 
 /// Ledger conservation across the switch: the `Replanned` event snapshots
