@@ -11,7 +11,7 @@
 //! `cargo bench -p qrs-bench`.
 
 use qrs_core::md::ta::{SortedAccess, TaCursor};
-use qrs_core::{MdAlgo, MdCursor, MdOptions, OneDCursor, OneDStrategy, RerankParams, SharedState};
+use qrs_core::{MdAlgo, MdCursor, MdOptions, OneDCursor, OneDStrategy, RerankParams, StateHandle};
 use qrs_datagen::synthetic::{clustered, correlated, uniform};
 use qrs_ranking::{LinearRank, RankFn};
 use qrs_server::{SearchInterface, SimServer, SystemRank};
@@ -50,12 +50,9 @@ fn one_d_top1() {
     let server = SimServer::new(data.clone(), SystemRank::by_attr_desc(AttrId(0)), K);
     for strategy in OneDStrategy::ALL {
         bench(&format!("one_d_top1/{}", strategy.label()), || {
-            let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(N, K));
+            let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(N, K));
             let mut cur = OneDCursor::over(AttrId(0), Direction::Asc, Query::all(), strategy);
-            black_box(
-                cur.next(&server, &mut st)
-                    .expect("sim server does not fail"),
-            );
+            black_box(cur.next(&server, &st).expect("sim server does not fail"));
         });
     }
 }
@@ -72,26 +69,20 @@ fn md_top1() {
             _ => MdOptions::rerank(),
         };
         bench(&format!("md_top1_anticorrelated/{}", algo.label()), || {
-            let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(N, K));
+            let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(N, K));
             let mut cur = MdCursor::new(Arc::clone(&rank), Query::all(), opts, server.schema());
-            black_box(
-                cur.next(&server, &mut st)
-                    .expect("sim server does not fail"),
-            );
+            black_box(cur.next(&server, &st).expect("sim server does not fail"));
         });
     }
     bench("md_top1_anticorrelated/TA over 1D-RERANK", || {
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(N, K));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(N, K));
         let mut cur = TaCursor::new(
             Arc::clone(&rank),
             Query::all(),
             SortedAccess::OneD(OneDStrategy::Rerank),
             server.schema(),
         );
-        black_box(
-            cur.next(&server, &mut st)
-                .expect("sim server does not fail"),
-        );
+        black_box(cur.next(&server, &st).expect("sim server does not fail"));
     });
 }
 
@@ -99,7 +90,7 @@ fn dense_index_hit() {
     // Warm the dense index once, then measure the indexed lookup path.
     let data = clustered(N, 1, 2, 0.002, 79);
     let server = SimServer::new(data.clone(), SystemRank::by_attr_desc(AttrId(0)), K);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(N, K));
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(N, K));
     let mut warm = OneDCursor::over(
         AttrId(0),
         Direction::Asc,
@@ -107,8 +98,7 @@ fn dense_index_hit() {
         OneDStrategy::Rerank,
     );
     for _ in 0..20 {
-        warm.next(&server, &mut st)
-            .expect("sim server does not fail");
+        warm.next(&server, &st).expect("sim server does not fail");
     }
     bench("one_d_rerank_warm_next", || {
         let mut cur = OneDCursor::over(
@@ -117,10 +107,7 @@ fn dense_index_hit() {
             Query::all(),
             OneDStrategy::Rerank,
         );
-        black_box(
-            cur.next(&server, &mut st)
-                .expect("sim server does not fail"),
-        );
+        black_box(cur.next(&server, &st).expect("sim server does not fail"));
     });
 }
 

@@ -8,7 +8,7 @@
 
 use crate::{print_figure, Scale, Series};
 use qrs_core::baselines::{crawl_then_rank, page_down_rerank, recall_at_h};
-use qrs_core::{MdCursor, MdOptions, RerankParams, SharedState};
+use qrs_core::{MdCursor, MdOptions, RerankParams, StateHandle};
 use qrs_datagen::synthetic::correlated;
 use qrs_datagen::{md_workload, WorkloadConfig};
 use qrs_ranking::{LinearRank, RankFn};
@@ -57,7 +57,7 @@ fn md_flags(scale: Scale) {
     let mut series = Vec::new();
     for (label, opts) in variants {
         let server = SimServer::new(data.clone(), sys.clone(), 10);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, 10));
         let mut cur = MdCursor::new(
             Arc::new(rank.clone()) as Arc<dyn RankFn>,
             Query::all(),
@@ -67,7 +67,7 @@ fn md_flags(scale: Scale) {
         let mut s = Series::new(label);
         for h in 1..=10usize {
             let t = cur
-                .next(&server, &mut st)
+                .next(&server, &st)
                 .expect("offline sim server does not fail");
             s.push(h as f64, server.queries_issued() as f64);
             if t.is_none() {
@@ -104,7 +104,7 @@ fn dense_index(scale: Scale) {
         // Dense-index parameters chosen so the clusters actually qualify as
         // dense regions (the paper's default c = n keeps the threshold far
         // below this dataset's cluster spacing; Fig 9 sweeps this knob).
-        let mut st = SharedState::new(data.schema(), RerankParams::with_sc(n, 150.0, 100.0));
+        let st = StateHandle::new(data.schema(), RerankParams::with_sc(n, 150.0, 100.0));
         let mut s = Series::new(label);
         // 20 successive user requests for the top-5 on the same attribute,
         // each with a *different* range filter: the complete-region cache
@@ -121,7 +121,7 @@ fn dense_index(scale: Scale) {
             let mut cur = OneDCursor::over(AttrId(0), qrs_types::Direction::Asc, sel, strategy);
             for _ in 0..5 {
                 if cur
-                    .next(&server, &mut st)
+                    .next(&server, &st)
                     .expect("offline sim server does not fail")
                     .is_none()
                 {
@@ -160,8 +160,8 @@ fn amortization(scale: Scale) {
     let server = SimServer::new(data.clone(), SystemRank::pseudo_random(3), 10);
     // Unlike the figure runners, keep *all* knowledge across requests —
     // this ablation measures exactly that amortization.
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-    let mut run = |uq: &qrs_datagen::MdUserQuery| -> u64 {
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, 10));
+    let run = |uq: &qrs_datagen::MdUserQuery| -> u64 {
         let before = server.queries_issued();
         let mut cur = MdCursor::new(
             Arc::new(uq.rank.clone()) as Arc<dyn RankFn>,
@@ -171,7 +171,7 @@ fn amortization(scale: Scale) {
         );
         for _ in 0..5 {
             if cur
-                .next(&server, &mut st)
+                .next(&server, &st)
                 .expect("offline sim server does not fail")
                 .is_none()
             {
@@ -208,7 +208,7 @@ fn baselines(scale: Scale) {
 
     // Exact MD-RERANK for the top-10.
     let server = SimServer::new(data.clone(), sys.clone(), 10).with_paging();
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, 10));
     let mut cur = MdCursor::new(
         Arc::new(rank.clone()) as Arc<dyn RankFn>,
         Query::all(),
@@ -218,7 +218,7 @@ fn baselines(scale: Scale) {
     let mut got = Vec::new();
     for _ in 0..10 {
         match cur
-            .next(&server, &mut st)
+            .next(&server, &st)
             .expect("offline sim server does not fail")
         {
             Some(t) => got.push(t),
@@ -235,8 +235,8 @@ fn baselines(scale: Scale) {
 
     // Crawl-then-rank.
     let server2 = SimServer::new(data.clone(), sys.clone(), 10);
-    let mut st2 = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-    let r = crawl_then_rank(&server2, &mut st2, &Query::all(), |t| rank.score(t))
+    let st2 = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, 10));
+    let r = crawl_then_rank(&server2, &st2, &Query::all(), |t| rank.score(t))
         .expect("offline sim server does not fail");
     println!(
         "crawl-then-rank, {}, {:.2}, {}",
@@ -248,8 +248,8 @@ fn baselines(scale: Scale) {
     // Page-down with various page budgets.
     for pages in [1usize, 5, 20, 100] {
         let server3 = SimServer::new(data.clone(), sys.clone(), 10).with_paging();
-        let mut st3 = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-        let p = page_down_rerank(&server3, &mut st3, &Query::all(), |t| rank.score(t), pages)
+        let st3 = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, 10));
+        let p = page_down_rerank(&server3, &st3, &Query::all(), |t| rank.score(t), pages)
             .expect("offline sim server does not fail");
         println!(
             "page-down({pages} pages), {}, {:.2}, {}",

@@ -3,7 +3,7 @@
 use crate::experiments::one_d::{sr1, sr2};
 use crate::runner::{md_cost_curve, md_top_h_cost};
 use crate::{print_figure, Scale, Series};
-use qrs_core::{MdAlgo, RerankParams, SharedState};
+use qrs_core::{MdAlgo, RerankParams, StateHandle};
 use qrs_datagen::{flights, md_workload, WorkloadConfig};
 use qrs_server::{SimServer, SystemRank};
 
@@ -30,9 +30,9 @@ fn n_sweep(scale: Scale, sys: &dyn Fn() -> SystemRank) -> Vec<Series> {
             let workload = md_workload(&data, &workload_cfg(scale, 200 + sample as u64));
             for (ai, &algo) in MdAlgo::ALL.iter().enumerate() {
                 let server = SimServer::new(data.clone(), sys(), k);
-                let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+                let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
                 for uq in &workload {
-                    sums[ai] += md_top_h_cost(&server, &mut st, uq, algo, 1)
+                    sums[ai] += md_top_h_cost(&server, &st, uq, algo, 1)
                         .expect("offline sim server does not fail")
                         as f64;
                     counts[ai] += 1;
@@ -68,10 +68,10 @@ pub fn fig15(scale: Scale) -> Vec<Series> {
     let mut series = Vec::new();
     for &k in &[1usize, 4, 7, 10] {
         let server = SimServer::new(data.clone(), sr1(), k);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
         let mut acc = [0.0f64; 10];
         for uq in &workload {
-            let curve = md_cost_curve(&server, &mut st, uq, MdAlgo::Rerank, 10)
+            let curve = md_cost_curve(&server, &st, uq, MdAlgo::Rerank, 10)
                 .expect("offline sim server does not fail");
             for (i, a) in acc.iter_mut().enumerate() {
                 *a += curve.get(i).or(curve.last()).copied().unwrap_or(0) as f64;

@@ -2,7 +2,7 @@
 
 use crate::runner::{one_d_cost_curve, one_d_top_h_cost};
 use crate::{print_figure, Scale, Series};
-use qrs_core::{OneDStrategy, RerankParams, SharedState, TiePolicy};
+use qrs_core::{OneDStrategy, RerankParams, StateHandle, TiePolicy};
 use qrs_datagen::flights::attr;
 use qrs_datagen::{flights, one_d_workload, OneDUserQuery, WorkloadConfig};
 use qrs_server::{SimServer, SystemRank};
@@ -42,18 +42,12 @@ fn n_sweep(scale: Scale, sys: &dyn Fn() -> SystemRank) -> Vec<Series> {
             let workload = one_d_workload(&data, &workload_cfg(scale, 42 + sample as u64));
             for (si, &strategy) in OneDStrategy::ALL.iter().enumerate() {
                 let server = SimServer::new(data.clone(), sys(), k);
-                let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+                let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
                 for uq in &workload {
-                    sums[si] += one_d_top_h_cost(
-                        &server,
-                        &mut st,
-                        uq,
-                        strategy,
-                        TiePolicy::AssumeDistinct,
-                        1,
-                    )
-                    .expect("offline sim server does not fail")
-                        as f64;
+                    sums[si] +=
+                        one_d_top_h_cost(&server, &st, uq, strategy, TiePolicy::AssumeDistinct, 1)
+                            .expect("offline sim server does not fail")
+                            as f64;
                     counts[si] += 1;
                 }
             }
@@ -87,12 +81,12 @@ pub fn fig8(scale: Scale) -> Vec<Series> {
     let mut series = Vec::new();
     for &k in &[1usize, 4, 7, 10] {
         let server = SimServer::new(data.clone(), sr1(), k);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
         let mut acc = [0.0f64; 10];
         for uq in &workload {
             let curve = one_d_cost_curve(
                 &server,
-                &mut st,
+                &st,
                 uq,
                 OneDStrategy::Rerank,
                 TiePolicy::AssumeDistinct,
@@ -135,12 +129,12 @@ pub fn fig9(scale: Scale) -> Vec<Series> {
     ];
     let run = |s: f64, c: f64| -> f64 {
         let server = SimServer::new(data.clone(), sr1(), k);
-        let mut st = SharedState::new(data.schema(), RerankParams::with_sc(n, s, c));
+        let st = StateHandle::new(data.schema(), RerankParams::with_sc(n, s, c));
         let mut total = 0.0;
         for uq in &workload {
             total += one_d_top_h_cost(
                 &server,
-                &mut st,
+                &st,
                 uq,
                 OneDStrategy::Rerank,
                 TiePolicy::AssumeDistinct,
@@ -189,12 +183,12 @@ pub fn fig10(scale: Scale) -> Vec<Series> {
         let runs: [&[OneDUserQuery]; 3] = [&general_first, &base, &special_first];
         for (si, workload) in runs.iter().enumerate() {
             let server = SimServer::new(data.clone(), sr1(), k);
-            let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+            let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
             let mut total = 0.0;
             for uq in workload.iter() {
                 total += one_d_top_h_cost(
                     &server,
-                    &mut st,
+                    &st,
                     uq,
                     OneDStrategy::Rerank,
                     TiePolicy::AssumeDistinct,

@@ -8,7 +8,7 @@
 
 use crate::runner::{md_cost_curve, one_d_cost_curve};
 use crate::{print_figure, Scale, Series};
-use qrs_core::{MdAlgo, OneDStrategy, RerankParams, SharedState, TiePolicy};
+use qrs_core::{MdAlgo, OneDStrategy, RerankParams, StateHandle, TiePolicy};
 use qrs_datagen::{autos, diamonds, md_workload, one_d_workload, WorkloadConfig};
 use qrs_server::{SimServer, SystemRank};
 use qrs_types::Dataset;
@@ -67,15 +67,14 @@ fn one_d_site_curves(site: &Site, scale: Scale, queries: usize, unfiltered: f64)
     let mut out = Vec::new();
     for &strategy in &OneDStrategy::ALL {
         let server = SimServer::new(site.data.clone(), site.system.clone(), site.k);
-        let mut st = SharedState::new(
+        let st = StateHandle::new(
             site.data.schema(),
             RerankParams::paper_defaults(site.data.len(), site.k),
         );
         let mut acc = vec![0.0f64; cps.len()];
         for uq in &workload {
-            let curve =
-                one_d_cost_curve(&server, &mut st, uq, strategy, TiePolicy::AssumeDistinct, h)
-                    .expect("offline sim server does not fail");
+            let curve = one_d_cost_curve(&server, &st, uq, strategy, TiePolicy::AssumeDistinct, h)
+                .expect("offline sim server does not fail");
             for (ci, &cp) in cps.iter().enumerate() {
                 acc[ci] += curve.get(cp - 1).or(curve.last()).copied().unwrap_or(0) as f64;
             }
@@ -106,14 +105,14 @@ fn md_site_curves(site: &Site, scale: Scale, queries: usize, unfiltered: f64) ->
         // third series measures the §5 extension that exploits it.
         let server = SimServer::new(site.data.clone(), site.system.clone(), site.k)
             .with_order_by(order_by_all(&site.data));
-        let mut st = SharedState::new(
+        let st = StateHandle::new(
             site.data.schema(),
             RerankParams::paper_defaults(site.data.len(), site.k),
         );
         let mut acc = vec![0.0f64; cps.len()];
         for uq in &workload {
-            let curve = md_cost_curve(&server, &mut st, uq, algo, h)
-                .expect("offline sim server does not fail");
+            let curve =
+                md_cost_curve(&server, &st, uq, algo, h).expect("offline sim server does not fail");
             for (ci, &cp) in cps.iter().enumerate() {
                 acc[ci] += curve.get(cp - 1).or(curve.last()).copied().unwrap_or(0) as f64;
             }

@@ -3,7 +3,7 @@
 
 use crate::{print_figure, Scale, Series};
 use qrs_core::one_d::primitives::{next_above, OneDSpec};
-use qrs_core::{OneDStrategy, RerankParams, SharedState};
+use qrs_core::{OneDStrategy, RerankParams, StateHandle};
 use qrs_server::{AdversaryServer, SearchInterface};
 use qrs_types::{AttrId, Direction, Query};
 
@@ -23,9 +23,9 @@ pub fn run(scale: Scale) -> Vec<Series> {
         bound.push(k as f64, (n / k) as f64);
         for (si, &strategy) in OneDStrategy::ALL.iter().enumerate() {
             let adv = AdversaryServer::new(0.0, 1.0, n, k);
-            let mut st = SharedState::new(adv.schema(), RerankParams::paper_defaults(n, k));
+            let st = StateHandle::new(adv.schema(), RerankParams::paper_defaults(n, k));
             let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
-            let t = next_above(&adv, &mut st, &spec, strategy, f64::NEG_INFINITY, None)
+            let t = next_above(&adv, &st, &spec, strategy, f64::NEG_INFINITY, None)
                 .expect("the adversary server does not fail");
             assert!(t.is_some(), "adversary database is non-empty");
             series[si].push(k as f64, adv.queries_issued() as f64);

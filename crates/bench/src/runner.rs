@@ -4,7 +4,7 @@
 use qrs_core::md::cursor::MdTie;
 use qrs_core::md::ta::{SortedAccess, TaCursor};
 use qrs_core::{
-    MdAlgo, MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, SharedState, TiePolicy,
+    MdAlgo, MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, StateHandle, TiePolicy,
 };
 use qrs_datagen::{MdUserQuery, OneDUserQuery};
 use qrs_server::SearchInterface;
@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// Queries spent retrieving the top `h` for a 1D user query.
 pub fn one_d_top_h_cost(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     uq: &OneDUserQuery,
     strategy: OneDStrategy,
     tie: TiePolicy,
@@ -29,7 +29,7 @@ pub fn one_d_top_h_cost(
 /// Cumulative queries spent after each of the first `h` Get-Nexts.
 pub fn one_d_cost_curve(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     uq: &OneDUserQuery,
     strategy: OneDStrategy,
     tie: TiePolicy,
@@ -37,7 +37,7 @@ pub fn one_d_cost_curve(
 ) -> Result<Vec<u64>, RerankError> {
     // Paper cost model: tuples and dense indexes persist across user
     // queries; emptiness proofs do not (see SharedState docs).
-    st.forget_complete_regions();
+    st.write(|s| s.forget_complete_regions());
     let before = server.queries_issued();
     let mut cur = OneDCursor::new(
         OneDSpec::new(uq.attr, uq.dir, uq.query.clone()),
@@ -58,7 +58,7 @@ pub fn one_d_cost_curve(
 /// Queries spent retrieving the top `h` for an MD user query.
 pub fn md_top_h_cost(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     uq: &MdUserQuery,
     algo: MdAlgo,
     h: usize,
@@ -72,12 +72,12 @@ pub fn md_top_h_cost(
 /// Cumulative queries spent after each of the first `h` Get-Nexts.
 pub fn md_cost_curve(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     uq: &MdUserQuery,
     algo: MdAlgo,
     h: usize,
 ) -> Result<Vec<u64>, RerankError> {
-    st.forget_complete_regions();
+    st.write(|s| s.forget_complete_regions());
     let before = server.queries_issued();
     let rank = Arc::new(uq.rank.clone());
     let mut out = Vec::with_capacity(h);
@@ -144,10 +144,10 @@ mod tests {
         let w1 = one_d_workload(&data, &cfg);
         let wm = md_workload(&data, &cfg);
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(3), 5);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(300, 5));
         let c = one_d_cost_curve(
             &server,
-            &mut st,
+            &st,
             &w1[0],
             OneDStrategy::Rerank,
             TiePolicy::Exact,
@@ -157,7 +157,7 @@ mod tests {
         assert_eq!(c.len(), 5);
         assert!(c.windows(2).all(|w| w[0] <= w[1]));
         for algo in MdAlgo::ALL {
-            let c = md_cost_curve(&server, &mut st, &wm[0], algo, 3).unwrap();
+            let c = md_cost_curve(&server, &st, &wm[0], algo, 3).unwrap();
             assert!(c.windows(2).all(|w| w[0] <= w[1]), "{}", algo.label());
         }
     }

@@ -10,7 +10,7 @@
 //!   reports whether the answer happens to be provably correct, and the
 //!   Fig.-adjacent ablation measures its recall.
 
-use crate::ctx::SharedState;
+use crate::ctx::StateHandle;
 use qrs_server::SearchInterface;
 use qrs_types::value::cmp_f64;
 use qrs_types::{Capability, Query, RerankError, Tuple};
@@ -34,7 +34,7 @@ pub struct PageDownResult {
 /// returns [`RerankError::UnsupportedCapability`] when the server lacks it.
 pub fn page_down_rerank(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     q: &Query,
     score: impl Fn(&Tuple) -> f64,
     max_pages: usize,
@@ -45,7 +45,7 @@ pub fn page_down_rerank(
     let mut pages = 0;
     for page in 0..max_pages {
         let resp = server.query_page(q, page)?;
-        st.history.record_response(&resp);
+        st.write(|s| s.history.record_response(&resp));
         pages += 1;
         tuples.extend(resp.tuples.iter().cloned());
         if !resp.is_overflow() {
@@ -114,14 +114,13 @@ impl PageDownCursor {
     /// drained. Returns whether the result set is now fully drained.
     ///
     /// This is the granular API the service layer drives: one page per
-    /// Get-Next step, so query-budget gates fire *between* pages and the
-    /// shared-state lock is released between them — a 1 000-page drain can
-    /// be budget-capped and interleaves with concurrent sessions instead
-    /// of monopolizing the service.
+    /// Get-Next step, so query-budget gates fire *between* pages — a
+    /// 1 000-page drain can be budget-capped instead of monopolizing the
+    /// session's budget window.
     pub fn fetch_next_page(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
     ) -> Result<bool, RerankError> {
         if self.drained {
             return Ok(true);
@@ -135,7 +134,7 @@ impl PageDownCursor {
             )));
         }
         let resp = server.query_page(&self.sel, self.next_page)?;
-        st.history.record_response(&resp);
+        st.write(|s| s.history.record_response(&resp));
         self.next_page += 1;
         self.buf.extend(resp.tuples.iter().cloned());
         if !resp.is_overflow() {
@@ -173,7 +172,7 @@ impl PageDownCursor {
     pub fn next(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
     ) -> Result<Option<Arc<Tuple>>, RerankError> {
         while !self.fetch_next_page(server, st)? {}
         Ok(self.emit_next())
@@ -224,9 +223,9 @@ mod tests {
         let truth = data.rank_by(&Query::all(), score);
         // System ranks by the *opposite* of the user's preference.
         let sys = SystemRank::linear("anti", vec![(AttrId(0), -1.0), (AttrId(1), -1.0)]);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 10));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(300, 10));
         let server = SimServer::new(data, sys, 10).with_paging();
-        let r = page_down_rerank(&server, &mut st, &Query::all(), score, 3).unwrap();
+        let r = page_down_rerank(&server, &st, &Query::all(), score, 3).unwrap();
         assert!(!r.exact);
         // With anti-correlated system ranking, 3 pages of 10 should miss
         // most of the true top-10.
@@ -237,9 +236,9 @@ mod tests {
     fn page_down_exact_when_it_drains_the_result() {
         let data = uniform(25, 2, 1, 403);
         let truth = data.rank_by(&Query::all(), score);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(25, 10));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(25, 10));
         let server = SimServer::new(data, SystemRank::pseudo_random(41), 10).with_paging();
-        let r = page_down_rerank(&server, &mut st, &Query::all(), score, 100).unwrap();
+        let r = page_down_rerank(&server, &st, &Query::all(), score, 100).unwrap();
         assert!(r.exact);
         assert_eq!(r.pages, 3); // 25 tuples / k=10
         let got: Vec<u32> = r.tuples.iter().map(|t| t.id.0).collect();
@@ -251,9 +250,9 @@ mod tests {
     #[test]
     fn page_down_refused_without_paging_capability() {
         let data = uniform(30, 2, 1, 407);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(30, 10));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(30, 10));
         let server = SimServer::new(data, SystemRank::pseudo_random(43), 10); // no paging
-        let err = page_down_rerank(&server, &mut st, &Query::all(), score, 3).unwrap_err();
+        let err = page_down_rerank(&server, &st, &Query::all(), score, 3).unwrap_err();
         assert_eq!(
             err,
             qrs_types::RerankError::UnsupportedCapability(Capability::Paging)
@@ -265,13 +264,13 @@ mod tests {
         use qrs_ranking::LinearRank;
         let data = uniform(25, 2, 1, 409);
         let truth = data.rank_by(&Query::all(), score);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(25, 10));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(25, 10));
         let server = SimServer::new(data, SystemRank::pseudo_random(47), 10).with_paging();
         let rank: Arc<dyn qrs_ranking::RankFn> =
             Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
         let mut c = PageDownCursor::new(Query::all(), rank, usize::MAX);
         let mut got = Vec::new();
-        while let Some(t) = c.next(&server, &mut st).unwrap() {
+        while let Some(t) = c.next(&server, &st).unwrap() {
             got.push(t.id.0);
         }
         assert!(c.drained());
@@ -285,20 +284,20 @@ mod tests {
     fn page_down_cursor_is_strict_about_depth() {
         use qrs_ranking::LinearRank;
         let data = uniform(50, 2, 1, 411);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(50, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(50, 5));
         // 50 tuples at k=5 need 10 pages; the cursor is capped at 3.
         let server = SimServer::new(data, SystemRank::pseudo_random(53), 5).with_paging();
         let rank: Arc<dyn qrs_ranking::RankFn> =
             Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
         let mut c = PageDownCursor::new(Query::all(), rank, 3);
-        let err = c.next(&server, &mut st).unwrap_err();
+        let err = c.next(&server, &st).unwrap_err();
         assert_eq!(
             err,
             RerankError::UnsupportedCapability(Capability::PageDepth(4))
         );
         // The three fetched pages stay paid-for; the error is stable.
         assert_eq!(server.queries_issued(), 3);
-        assert!(c.next(&server, &mut st).is_err());
+        assert!(c.next(&server, &st).is_err());
         assert_eq!(server.queries_issued(), 3);
     }
 

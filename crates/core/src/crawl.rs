@@ -19,7 +19,7 @@
 //! indistinguishable through the interface; the crawler returns what it can
 //! and reports `truncated = true`.
 
-use crate::ctx::SharedState;
+use crate::ctx::StateHandle;
 use qrs_server::SearchInterface;
 use qrs_types::value::cmp_f64;
 use qrs_types::{AttrId, Interval, Query, RerankError, Schema, Tuple, TupleId};
@@ -41,7 +41,7 @@ pub struct CrawlResult {
 /// the knowledge accumulated so far).
 pub fn crawl_region(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     q: &Query,
 ) -> Result<CrawlResult, RerankError> {
     let schema = Arc::clone(server.schema());
@@ -53,14 +53,15 @@ pub fn crawl_region(
         if cq.is_unsatisfiable() {
             continue;
         }
-        if st.complete.covers(&cq) {
-            for t in st.history.matching(&cq) {
+        let known = st.read(|s| s.complete.covers(&cq).then(|| s.history.matching(&cq)));
+        if let Some(known) = known {
+            for t in known {
                 found.insert(t.id, t);
             }
             continue;
         }
         let resp = server.query(&cq)?;
-        st.absorb(&cq, &resp);
+        st.write(|s| s.absorb(&cq, &resp));
         for t in &resp.tuples {
             found.insert(t.id, Arc::clone(t));
         }
@@ -103,7 +104,7 @@ pub fn crawl_region(
     }
 
     if !truncated {
-        st.complete.register(q.clone());
+        st.write(|s| s.complete.register(q.clone()));
     }
     let mut tuples: Vec<Arc<Tuple>> = found.into_values().collect();
     tuples.sort_by_key(|t| t.id);
@@ -182,7 +183,7 @@ fn is_pinned(q: &Query, a: AttrId) -> bool {
 /// Returns the exact ranking (ties by id) unless `truncated`.
 pub fn crawl_then_rank(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     q: &Query,
     score: impl Fn(&Tuple) -> f64,
 ) -> Result<CrawlResult, RerankError> {
@@ -199,8 +200,8 @@ mod tests {
     use qrs_datagen::synthetic::{discrete_grid, uniform};
     use qrs_server::{SimServer, SystemRank};
 
-    fn setup(data: qrs_types::Dataset, k: usize) -> (SimServer, SharedState) {
-        let st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
+    fn setup(data: qrs_types::Dataset, k: usize) -> (SimServer, StateHandle) {
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
         let server = SimServer::new(data, SystemRank::pseudo_random(3), k);
         (server, st)
     }
@@ -209,13 +210,13 @@ mod tests {
     fn crawls_everything_continuous() {
         let data = uniform(300, 2, 1, 42);
         let n = data.len();
-        let (server, mut st) = setup(data, 5);
-        let r = crawl_region(&server, &mut st, &Query::all()).unwrap();
+        let (server, st) = setup(data, 5);
+        let r = crawl_region(&server, &st, &Query::all()).unwrap();
         assert!(!r.truncated);
         assert_eq!(r.tuples.len(), n);
         // The crawled region is now complete: re-crawling is free.
         let before = server.queries_issued();
-        let r2 = crawl_region(&server, &mut st, &Query::all()).unwrap();
+        let r2 = crawl_region(&server, &st, &Query::all()).unwrap();
         assert_eq!(server.queries_issued(), before);
         assert_eq!(r2.tuples.len(), n);
     }
@@ -225,8 +226,8 @@ mod tests {
         // 4-level grid in 2D: at most 16 distinct cells for 200 tuples.
         let data = discrete_grid(200, 2, 4, 7);
         let n = data.len();
-        let (server, mut st) = setup(data, 10);
-        let r = crawl_region(&server, &mut st, &Query::all()).unwrap();
+        let (server, st) = setup(data, 10);
+        let r = crawl_region(&server, &st, &Query::all()).unwrap();
         // Cells can hold more than k=10 exact duplicates → possibly
         // truncated, but never *silently* short.
         if !r.truncated {
@@ -241,8 +242,8 @@ mod tests {
         let data = uniform(300, 2, 1, 9);
         let q = Query::all().and_range(AttrId(0), Interval::closed(0.2, 0.6));
         let expect = data.count_matching(&q);
-        let (server, mut st) = setup(data, 5);
-        let r = crawl_region(&server, &mut st, &q).unwrap();
+        let (server, st) = setup(data, 5);
+        let r = crawl_region(&server, &st, &q).unwrap();
         assert!(!r.truncated);
         assert_eq!(r.tuples.len(), expect);
         assert!(r.tuples.iter().all(|t| q.matches(t)));
@@ -252,8 +253,8 @@ mod tests {
     fn crawl_then_rank_matches_ground_truth() {
         let data = uniform(250, 2, 1, 10);
         let truth = data.rank_by(&Query::all(), |t| t.ord(AttrId(0)) + t.ord(AttrId(1)));
-        let (server, mut st) = setup(data, 5);
-        let r = crawl_then_rank(&server, &mut st, &Query::all(), |t| {
+        let (server, st) = setup(data, 5);
+        let r = crawl_then_rank(&server, &st, &Query::all(), |t| {
             t.ord(AttrId(0)) + t.ord(AttrId(1))
         })
         .unwrap();
@@ -266,9 +267,9 @@ mod tests {
     #[test]
     fn unsatisfiable_query_is_free() {
         let data = uniform(100, 2, 1, 11);
-        let (server, mut st) = setup(data, 5);
+        let (server, st) = setup(data, 5);
         let q = Query::all().and_range(AttrId(0), Interval::open(0.5, 0.5));
-        let r = crawl_region(&server, &mut st, &q).unwrap();
+        let r = crawl_region(&server, &st, &q).unwrap();
         assert!(r.tuples.is_empty());
         assert_eq!(server.queries_issued(), 0);
     }

@@ -8,12 +8,13 @@
 //! query touching the region. Tie slabs are collected exactly, so the
 //! frontier invariant survives duplicate attribute values.
 
-use crate::ctx::SharedState;
+use crate::ctx::StateHandle;
 use crate::one_d::primitives::{baseline_next_above, OneDSpec};
 use qrs_server::SearchInterface;
 use qrs_types::value::OrdF64;
-use qrs_types::{AttrId, Direction, Query, RerankError, Tuple, TupleId};
+use qrs_types::{meter, AttrId, Direction, Query, RerankError, Tuple, TupleId};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// One indexed dense region on a (attribute, direction) axis.
@@ -56,6 +57,12 @@ impl DenseInterval {
     /// True when the whole range `[x, y)` has been crawled.
     pub fn is_complete(&self) -> bool {
         self.complete
+    }
+
+    /// Move the crawl frontier forward to `v` — never back: a racing
+    /// session may already have crawled past it.
+    fn advance_frontier(&mut self, v: f64) {
+        self.frontier = Some(self.frontier.map_or(v, |f| f.max(v)));
     }
 
     /// Smallest (value, id) tuple in `[lo, hi)` matching `sel` *provably*:
@@ -123,9 +130,13 @@ impl Dense1D {
 /// Returns `Ok(None)` when the range holds no matching tuple. On a server
 /// failure the crawl frontier keeps everything confirmed so far, so a retry
 /// resumes rather than restarts.
+///
+/// The state lock is taken per phase, never across the crawl step: a
+/// concurrent session may advance the same interval meanwhile, so merges
+/// only ever add tuples and move the frontier forward.
 pub fn oracle(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     spec: &OneDSpec,
     x: f64,
     y: f64,
@@ -133,20 +144,14 @@ pub fn oracle(
     if x >= y {
         return Ok(None);
     }
-    // Split the borrow: the crawl steps need &mut SharedState, so the entry
-    // is looked up by key each round.
-    let key = (spec.attr, spec.dir);
     let generic = OneDSpec::new(spec.attr, spec.dir, Query::all());
-    {
-        st.dense1d.entry_covering(spec.attr, spec.dir, x, y);
-    }
     loop {
-        // Phase 1: certain answer from the stored tuples?
-        {
-            let list = st.dense1d.map.get(&key).unwrap();
-            let d = list.iter().find(|d| d.x <= x && y <= d.y).unwrap();
+        // Phase 1: a certain answer from the stored tuples, or the frontier
+        // to crawl from.
+        let (dy, after) = match st.write(|s| {
+            let d = s.dense1d.entry_covering(spec.attr, spec.dir, x, y);
             if let Some(t) = d.certain_min(x, y, &spec.sel, spec) {
-                return Ok(Some(t));
+                return ControlFlow::Break(Some(t));
             }
             let limit = if d.complete {
                 f64::INFINITY
@@ -154,58 +159,48 @@ pub fn oracle(
                 d.frontier.unwrap_or(f64::NEG_INFINITY)
             };
             if d.complete || limit >= y {
-                return Ok(None); // fully crawled, no match in [x, y)
+                return ControlFlow::Break(None); // fully crawled, no match in [x, y)
             }
-        }
-        // Phase 2: extend the frontier one slab.
-        let (dx, dy, after) = {
-            let list = st.dense1d.map.get(&key).unwrap();
-            let d = list.iter().find(|d| d.x <= x && y <= d.y).unwrap();
-            let after = match d.frontier {
-                Some(f) => f,
-                // Include the boundary x itself: start one ULP below.
-                None => d.x.next_down(),
-            };
-            (d.x, d.y, after)
+            // Include the boundary x itself: start one ULP below.
+            ControlFlow::Continue((d.y, d.frontier.unwrap_or(d.x.next_down())))
+        }) {
+            ControlFlow::Continue(step) => step,
+            ControlFlow::Break(answer) => return Ok(answer),
         };
-        let before = server.queries_issued();
-        let found = match baseline_next_above(server, st, &generic, after, Some(dy)) {
-            Ok(f) => f,
-            Err(e) => {
-                st.dense1d.build_cost += server.queries_issued() - before;
-                return Err(e);
-            }
-        };
-        match found {
-            None => {
-                st.dense1d.build_cost += server.queries_issued() - before;
-                let list = st.dense1d.map.get_mut(&key).unwrap();
-                let d = list.iter_mut().find(|d| d.x <= x && y <= d.y).unwrap();
-                d.complete = true;
-                d.frontier = Some(dy);
-            }
-            Some(t) => {
-                let v = spec.nval(&t);
-                // Collect the whole tie slab at v (selection-free) so the
-                // frontier invariant holds with duplicates.
-                let slab = match crate::one_d::cursor::gather_slab(server, st, &generic, v) {
-                    Ok(slab) => slab,
-                    Err(e) => {
-                        st.dense1d.build_cost += server.queries_issued() - before;
-                        return Err(e);
+        // Phase 2: extend the frontier one slab, unlocked.
+        let before = meter::charges().paid;
+        let crawled =
+            baseline_next_above(server, st, &generic, after, Some(dy)).and_then(|found| {
+                // Collect the whole tie slab at the found value (selection-free)
+                // so the frontier invariant holds with duplicates.
+                let slab = match &found {
+                    Some(t) => {
+                        crate::one_d::cursor::gather_slab(server, st, &generic, spec.nval(t))?
                     }
+                    None => Vec::new(),
                 };
-                st.dense1d.build_cost += server.queries_issued() - before;
-                let list = st.dense1d.map.get_mut(&key).unwrap();
-                let d = list.iter_mut().find(|d| d.x <= x && y <= d.y).unwrap();
-                debug_assert!(v > after && v < dy, "crawl step left ({after}, {dy})");
-                let _ = dx;
-                for s in slab {
-                    d.tuples.insert((OrdF64(spec.nval(&s)), s.id), s);
+                Ok((found.map(|t| spec.nval(&t)), slab))
+            });
+        let cost = (meter::charges().paid - before).queries;
+        st.write(|s| {
+            s.dense1d.build_cost += cost;
+            let (found, slab) = crawled?;
+            let d = s.dense1d.entry_covering(spec.attr, spec.dir, x, y);
+            match found {
+                None => {
+                    d.complete = true;
+                    d.advance_frontier(dy);
                 }
-                d.frontier = Some(v);
+                Some(v) => {
+                    debug_assert!(v > after && v < dy, "crawl step left ({after}, {dy})");
+                    for t in slab {
+                        d.tuples.insert((OrdF64(spec.nval(&t)), t.id), t);
+                    }
+                    d.advance_frontier(v);
+                }
             }
-        }
+            Ok::<(), RerankError>(())
+        })?;
     }
 }
 
@@ -216,9 +211,9 @@ mod tests {
     use qrs_datagen::synthetic::clustered;
     use qrs_server::{SimServer, SystemRank};
 
-    fn setup(k: usize) -> (SimServer, SharedState) {
+    fn setup(k: usize) -> (SimServer, StateHandle) {
         let data = clustered(800, 1, 2, 0.004, 21);
-        let st = SharedState::new(data.schema(), RerankParams::paper_defaults(800, k));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(800, k));
         // Adversarial system ranking: descending attr for ascending users.
         let server = SimServer::new(data, SystemRank::by_attr_desc(AttrId(0)), k);
         (server, st)
@@ -226,7 +221,7 @@ mod tests {
 
     #[test]
     fn oracle_finds_minimum_in_range_and_reuses_index() {
-        let (server, mut st) = setup(5);
+        let (server, st) = setup(5);
         let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
         let truth = |x: f64, y: f64| {
             server
@@ -237,21 +232,21 @@ mod tests {
                 .filter(|&v| v >= x && v < y)
                 .min_by(f64::total_cmp)
         };
-        let t = oracle(&server, &mut st, &spec, 0.0, 0.5).unwrap().unwrap();
+        let t = oracle(&server, &st, &spec, 0.0, 0.5).unwrap().unwrap();
         assert_eq!(Some(t.ord(AttrId(0))), truth(0.0, 0.5));
         // A sub-range lookup afterwards may reuse the same interval's crawl.
         let cost = server.queries_issued();
-        let t2 = oracle(&server, &mut st, &spec, 0.0, t.ord(AttrId(0)).next_up()).unwrap();
+        let t2 = oracle(&server, &st, &spec, 0.0, t.ord(AttrId(0)).next_up()).unwrap();
         assert!(t2.is_some());
         assert_eq!(server.queries_issued(), cost, "second lookup was free");
     }
 
     #[test]
     fn oracle_respects_selection() {
-        let (server, mut st) = setup(5);
+        let (server, st) = setup(5);
         let sel = Query::all().and_cat(qrs_types::CatPredicate::eq(qrs_types::CatId(0), 2));
         let spec = OneDSpec::new(AttrId(0), Direction::Asc, sel.clone());
-        let got = oracle(&server, &mut st, &spec, 0.0, 1.1).unwrap();
+        let got = oracle(&server, &st, &spec, 0.0, 1.1).unwrap();
         let truth = server
             .dataset()
             .tuples()
@@ -264,20 +259,20 @@ mod tests {
 
     #[test]
     fn oracle_empty_range_is_none() {
-        let (server, mut st) = setup(5);
+        let (server, st) = setup(5);
         let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
-        assert!(oracle(&server, &mut st, &spec, 5.0, 6.0).unwrap().is_none());
-        assert!(oracle(&server, &mut st, &spec, 0.5, 0.5).unwrap().is_none());
+        assert!(oracle(&server, &st, &spec, 5.0, 6.0).unwrap().is_none());
+        assert!(oracle(&server, &st, &spec, 0.5, 0.5).unwrap().is_none());
     }
 
     #[test]
     fn index_tracks_build_cost_and_sizes() {
-        let (server, mut st) = setup(5);
+        let (server, st) = setup(5);
         let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
-        oracle(&server, &mut st, &spec, 0.0, 0.3).unwrap();
-        assert!(st.dense1d.num_intervals() >= 1);
-        assert!(st.dense1d.num_tuples() >= 1);
-        assert!(st.dense1d.build_cost > 0);
-        assert!(st.dense1d.build_cost <= server.queries_issued());
+        oracle(&server, &st, &spec, 0.0, 0.3).unwrap();
+        assert!(st.read(|s| s.dense1d.num_intervals()) >= 1);
+        assert!(st.read(|s| s.dense1d.num_tuples()) >= 1);
+        assert!(st.read(|s| s.dense1d.build_cost) > 0);
+        assert!(st.read(|s| s.dense1d.build_cost) <= server.queries_issued());
     }
 }

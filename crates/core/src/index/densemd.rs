@@ -14,11 +14,11 @@
 //! one that triggered the crawl.
 
 use crate::crawl::crawl_region;
-use crate::ctx::SharedState;
+use crate::ctx::StateHandle;
 use crate::norm::{NormBox, NormView};
 use qrs_server::SearchInterface;
 use qrs_types::value::cmp_f64;
-use qrs_types::{AttrId, Direction, Query, RerankError, Tuple};
+use qrs_types::{meter, AttrId, Direction, Query, RerankError, Tuple};
 use std::sync::Arc;
 
 /// One fully crawled box.
@@ -69,36 +69,41 @@ impl DenseMd {
 /// holds every tuple seen, so the retry is cheaper).
 pub fn md_oracle(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     view: &NormView,
     b: &NormBox,
     sel: &Query,
 ) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
-    if st.densemd.find(view, b).is_none() {
-        let before = server.queries_issued();
-        let box_query = view.to_query(b, &Query::all());
-        let r = match crawl_region(server, st, &box_query) {
-            Ok(r) => r,
-            Err(e) => {
-                st.densemd.build_cost += server.queries_issued() - before;
-                return Err(e);
-            }
-        };
-        st.densemd.build_cost += server.queries_issued() - before;
-        st.densemd.boxes.push(DenseBox {
-            attrs: view.rank().attrs().to_vec(),
-            dirs: view.rank().directions().to_vec(),
-            bbox: b.clone(),
-            tuples: r.tuples,
-            truncated: r.truncated,
-        });
+    let best_in = |d: &DenseBox| {
+        d.tuples
+            .iter()
+            .filter(|t| sel.matches(t) && b.contains(&view.norm_coords(t)))
+            .map(|t| (Arc::clone(t), view.score(t)))
+            .min_by(|a, b| cmp_f64(a.1, b.1).then(a.0.id.cmp(&b.0.id)))
+    };
+    if let Some(hit) = st.read(|s| s.densemd.find(view, b).map(best_in)) {
+        return Ok(hit);
     }
-    let d = st.densemd.find(view, b).expect("just inserted");
-    Ok(d.tuples
-        .iter()
-        .filter(|t| sel.matches(t) && b.contains(&view.norm_coords(t)))
-        .map(|t| (Arc::clone(t), view.score(t)))
-        .min_by(|a, b| cmp_f64(a.1, b.1).then(a.0.id.cmp(&b.0.id))))
+    // Crawl unlocked. A racing session may crawl the same box meanwhile;
+    // whichever registers first is kept, so the index never holds two
+    // entries for one box.
+    let before = meter::charges().paid;
+    let crawled = crawl_region(server, st, &view.to_query(b, &Query::all()));
+    let cost = (meter::charges().paid - before).queries;
+    st.write(|s| {
+        s.densemd.build_cost += cost;
+        let r = crawled?;
+        if s.densemd.find(view, b).is_none() {
+            s.densemd.boxes.push(DenseBox {
+                attrs: view.rank().attrs().to_vec(),
+                dirs: view.rank().directions().to_vec(),
+                bbox: b.clone(),
+                tuples: r.tuples,
+                truncated: r.truncated,
+            });
+        }
+        Ok(best_in(s.densemd.find(view, b).expect("just inserted")))
+    })
 }
 
 #[cfg(test)]
@@ -110,9 +115,9 @@ mod tests {
     use qrs_server::{SimServer, SystemRank};
     use qrs_types::Interval;
 
-    fn setup() -> (SimServer, SharedState, NormView) {
+    fn setup() -> (SimServer, StateHandle, NormView) {
         let data = uniform(400, 2, 1, 77);
-        let st = SharedState::new(data.schema(), RerankParams::paper_defaults(400, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(400, 5));
         let server = SimServer::new(data, SystemRank::pseudo_random(4), 5);
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
         let view = NormView::new(Arc::new(rank), server.schema());
@@ -121,14 +126,12 @@ mod tests {
 
     #[test]
     fn oracle_crawls_then_reuses() {
-        let (server, mut st, view) = setup();
+        let (server, st, view) = setup();
         let mut b = NormBox::full(view.bounds());
         b.dims[0] = Interval::closed(0.0, 0.2);
         b.dims[1] = Interval::closed(0.0, 0.2);
         let sel = Query::all();
-        let got = md_oracle(&server, &mut st, &view, &b, &sel)
-            .unwrap()
-            .unwrap();
+        let got = md_oracle(&server, &st, &view, &b, &sel).unwrap().unwrap();
         // Ground truth.
         let truth = server
             .dataset()
@@ -139,24 +142,24 @@ mod tests {
             .min_by(f64::total_cmp)
             .unwrap();
         assert_eq!(got.1, truth);
-        assert!(st.densemd.num_boxes() == 1);
-        assert!(st.densemd.build_cost > 0);
+        assert!(st.read(|s| s.densemd.num_boxes()) == 1);
+        assert!(st.read(|s| s.densemd.build_cost) > 0);
         // Contained box afterwards: free.
         let cost = server.queries_issued();
         let mut inner = b.clone();
         inner.dims[0] = Interval::closed(0.05, 0.15);
-        let _ = md_oracle(&server, &mut st, &view, &inner, &sel).unwrap();
+        let _ = md_oracle(&server, &st, &view, &inner, &sel).unwrap();
         assert_eq!(server.queries_issued(), cost);
-        assert_eq!(st.densemd.num_boxes(), 1, "no duplicate entry");
+        assert_eq!(st.read(|s| s.densemd.num_boxes()), 1, "no duplicate entry");
     }
 
     #[test]
     fn oracle_applies_selection_after_generic_crawl() {
-        let (server, mut st, view) = setup();
+        let (server, st, view) = setup();
         let mut b = NormBox::full(view.bounds());
         b.dims[0] = Interval::closed(0.0, 0.3);
         let sel = Query::all().and_cat(qrs_types::CatPredicate::eq(qrs_types::CatId(0), 1));
-        let got = md_oracle(&server, &mut st, &view, &b, &sel).unwrap();
+        let got = md_oracle(&server, &st, &view, &b, &sel).unwrap();
         let truth = server
             .dataset()
             .tuples()
@@ -169,10 +172,10 @@ mod tests {
 
     #[test]
     fn empty_box_returns_none() {
-        let (server, mut st, view) = setup();
+        let (server, st, view) = setup();
         let mut b = NormBox::full(view.bounds());
         b.dims[0] = Interval::closed(5.0, 6.0); // outside data
-        assert!(md_oracle(&server, &mut st, &view, &b, &Query::all())
+        assert!(md_oracle(&server, &st, &view, &b, &Query::all())
             .unwrap()
             .is_none());
     }

@@ -18,16 +18,19 @@
 //!    shard epoch captured at step 0's sync, so an answer that raced a data
 //!    change is dropped rather than stored as current.
 //!
-//! The gate's `queries_issued`/`cost_units_issued` forward to the inner
-//! server, so the session layer's in-lock delta attribution keeps working
-//! unchanged: knowledge hits add zero to the paid ledger and show up only
-//! in the saved one.
+//! A hit records its saved price on the calling thread's
+//! [`qrs_types::meter`] at the moment it credits the gate's own counter;
+//! a miss is billed (and recorded on the same meter) by the site it
+//! forwards to. The session layer reads both from the meter across each of
+//! its steps, so knowledge hits add zero to the paid ledger and show up
+//! only in the saved one. The gate's `queries_issued`/`cost_units_issued`
+//! forward to the inner server.
 
 use qrs_knowledge::{RequestKey, SourceShard};
 use qrs_server::{Capabilities, OrderedPage, SearchInterface};
 use qrs_types::{
-    AttrId, CostModel, Direction, Ledger, MutationLog, Query, QueryResponse, RequestKind, Schema,
-    ServerError,
+    meter, AttrId, CostModel, Direction, Ledger, MutationLog, Query, QueryResponse, RequestKind,
+    Schema, ServerError,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,9 +106,9 @@ impl KnowledgeGate {
 
     /// Queries answered from knowledge instead of the server so far, and
     /// the cost units the site would have billed for them under its
-    /// advertised cost model. Monotonic; the session layer reads deltas
-    /// across a cursor step under the shared-state lock, mirroring how paid
-    /// queries are attributed.
+    /// advertised cost model. Monotonic, and the sum over every caller;
+    /// each hit is also recorded on its caller's charge meter, which is
+    /// where per-session attribution reads it.
     pub fn saved(&self) -> Ledger {
         Ledger::new(
             self.queries_saved.load(Ordering::Relaxed),
@@ -114,9 +117,10 @@ impl KnowledgeGate {
     }
 
     fn credit(&self, q: &Query, kind: RequestKind) {
+        let units = self.cost.charge(q, kind);
         self.queries_saved.fetch_add(1, Ordering::Relaxed);
-        self.cost_units_saved
-            .fetch_add(self.cost.charge(q, kind), Ordering::Relaxed);
+        self.cost_units_saved.fetch_add(units, Ordering::Relaxed);
+        meter::record_saved(Ledger::new(1, units));
     }
 }
 

@@ -22,7 +22,9 @@
 //!
 //! All algorithms share a [`ctx::SharedState`] — query history, complete
 //! -region registry and the on-the-fly dense indexes — so cost amortizes
-//! across user queries, which is the paper's central systems idea.
+//! across user queries, which is the paper's central systems idea. They
+//! reach it through a [`ctx::StateHandle`], one lock per access and never
+//! across a site call.
 //!
 //! ### Known deviations from the paper (documented in DESIGN.md)
 //!
@@ -49,7 +51,7 @@ pub mod one_d;
 pub mod params;
 pub mod strategy;
 
-pub use ctx::SharedState;
+pub use ctx::{SharedState, StateHandle};
 pub use knowledge::KnowledgeGate;
 pub use md::{MdAlgo, MdCursor, MdOptions, TaCursor};
 pub use norm::{NormBox, NormView};

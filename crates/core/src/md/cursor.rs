@@ -10,7 +10,7 @@
 //! queries / sub-crawls on the remaining attributes.
 
 use crate::crawl::crawl_region;
-use crate::ctx::SharedState;
+use crate::ctx::StateHandle;
 use crate::md::top1::{md_top1, MdOptions};
 use crate::norm::{NormBox, NormView};
 use qrs_ranking::RankFn;
@@ -97,7 +97,7 @@ impl MdCursor {
     pub fn next(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
     ) -> Result<Option<Arc<Tuple>>, RerankError> {
         // Resolve all unknown subspace tops.
         for sub in &mut self.subs {
@@ -183,7 +183,7 @@ impl MdCursor {
     pub fn top_h(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
         h: usize,
     ) -> Result<Vec<Arc<Tuple>>, RerankError> {
         let mut out = Vec::with_capacity(h);
@@ -242,7 +242,7 @@ fn split_at_tuple(b: &NormBox, coords: &[f64], id: TupleId) -> Vec<Subspace> {
 /// coordinates (all share one score).
 fn cell_top(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     view: &NormView,
     cell: &NormBox,
     sel: &Query,
@@ -252,16 +252,16 @@ fn cell_top(
     if q.is_unsatisfiable() {
         return Ok(TopState::Empty);
     }
-    if !st.complete.covers(&q) {
+    if !st.read(|s| s.complete.covers(&q)) {
         let resp = server.query(&q)?;
-        st.absorb(&q, &resp);
+        st.write(|s| s.absorb(&q, &resp));
         if resp.is_overflow() {
             // >k tuples at one ranking-coordinate point: crawl by the
             // remaining (non-ranking / categorical) attributes.
             crawl_region(server, st, &q)?;
         }
     }
-    let known = st.history.matching(&q);
+    let known = st.read(|s| s.history.matching(&q));
     Ok(match known.into_iter().find(|t| !emitted.contains(&t.id)) {
         Some(t) => {
             let s = view.score(&t);
@@ -347,10 +347,10 @@ mod tests {
             ("binary", MdOptions::binary()),
             ("rerank", MdOptions::rerank()),
         ] {
-            let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+            let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
             let server = SimServer::new(data.clone(), sys.clone(), k);
             let mut cur = MdCursor::new(Arc::new(rank.clone()), sel.clone(), opts, server.schema());
-            let got = cur.top_h(&server, &mut st, h).unwrap();
+            let got = cur.top_h(&server, &st, h).unwrap();
             assert_eq!(got.len(), h.min(truth.len()), "emitted count");
             assert_stream_matches(&got, &truth, |t| rank.score(t));
             let _ = name;
@@ -411,7 +411,7 @@ mod tests {
     fn exhausts_small_relations() {
         let data = uniform(40, 2, 1, 211);
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 2.0)]);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(40, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(40, 5));
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(17), 5);
         let mut cur = MdCursor::new(
             Arc::new(rank.clone()),
@@ -419,9 +419,9 @@ mod tests {
             MdOptions::binary(),
             server.schema(),
         );
-        let got = cur.top_h(&server, &mut st, 100).unwrap();
+        let got = cur.top_h(&server, &st, 100).unwrap();
         assert_eq!(got.len(), 40, "must emit the entire relation");
-        assert!(cur.next(&server, &mut st).unwrap().is_none());
+        assert!(cur.next(&server, &st).unwrap().is_none());
         // Scores non-decreasing.
         let scores: Vec<f64> = got.iter().map(|t| rank.score(t)).collect();
         assert!(scores.windows(2).all(|w| w[0] <= w[1]));

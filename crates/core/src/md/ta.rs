@@ -14,7 +14,7 @@
 //! values on single attributes (Fig. 1) — reproduced in the Fig. 13/14/16/17
 //! experiments.
 
-use crate::ctx::SharedState;
+use crate::ctx::StateHandle;
 use crate::norm::NormView;
 use crate::one_d::{OneDCursor, OneDSpec, OneDStrategy, TiePolicy};
 use qrs_ranking::RankFn;
@@ -48,7 +48,7 @@ impl Stream {
     fn next(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
     ) -> Result<Option<Arc<Tuple>>, RerankError> {
         match self {
             Stream::Cursor(c) => c.next(server, st),
@@ -67,9 +67,11 @@ impl Stream {
                 let p = server.query_ordered(&spec.sel, spec.attr, spec.dir, *page)?;
                 *page += 1;
                 *done = !p.has_more;
-                for t in &p.tuples {
-                    st.history.record(t);
-                }
+                st.write(|s| {
+                    for t in &p.tuples {
+                        s.history.record(t);
+                    }
+                });
                 if p.tuples.is_empty() {
                     *done = true;
                     return Ok(None);
@@ -164,7 +166,7 @@ impl TaCursor {
     pub fn next(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
     ) -> Result<Option<Arc<Tuple>>, RerankError> {
         loop {
             let tau = if self.all_known {
@@ -187,7 +189,7 @@ impl TaCursor {
     pub fn top_h(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
         h: usize,
     ) -> Result<Vec<Arc<Tuple>>, RerankError> {
         let mut out = Vec::with_capacity(h);
@@ -203,7 +205,7 @@ impl TaCursor {
     fn pull_one(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
     ) -> Result<(), RerankError> {
         let m = self.streams.len();
         for _ in 0..m {
@@ -261,7 +263,7 @@ mod tests {
     fn ta_matches_ground_truth() {
         let data = uniform(250, 2, 1, 301);
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 0.5)]);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(250, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(250, 5));
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(23), 5);
         let mut ta = TaCursor::new(
             Arc::new(rank.clone()),
@@ -270,7 +272,7 @@ mod tests {
             server.schema(),
         );
         let got: Vec<f64> = ta
-            .top_h(&server, &mut st, 15)
+            .top_h(&server, &st, 15)
             .unwrap()
             .iter()
             .map(|t| rank.score(t))
@@ -283,7 +285,7 @@ mod tests {
         let data = correlated(300, -0.8, 307);
         let sel = Query::all().and_cat(qrs_types::CatPredicate::eq(qrs_types::CatId(0), 0));
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(300, 5));
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(29), 5);
         let mut ta = TaCursor::new(
             Arc::new(rank.clone()),
@@ -292,7 +294,7 @@ mod tests {
             server.schema(),
         );
         let got: Vec<f64> = ta
-            .top_h(&server, &mut st, 10)
+            .top_h(&server, &st, 10)
             .unwrap()
             .iter()
             .map(|t| rank.score(t))
@@ -304,7 +306,7 @@ mod tests {
     fn ta_public_order_by_variant() {
         let data = uniform(250, 2, 1, 311);
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(250, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(250, 5));
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(31), 5)
             .with_order_by(vec![AttrId(0), AttrId(1)]);
         let mut ta = TaCursor::with_server_caps(
@@ -315,7 +317,7 @@ mod tests {
             &server.capabilities(),
         );
         let got: Vec<f64> = ta
-            .top_h(&server, &mut st, 12)
+            .top_h(&server, &st, 12)
             .unwrap()
             .iter()
             .map(|t| rank.score(t))
@@ -327,7 +329,7 @@ mod tests {
     fn ta_exhausts_relation() {
         let data = uniform(60, 2, 1, 313);
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(60, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(60, 5));
         let server = SimServer::new(data, SystemRank::pseudo_random(37), 5);
         let mut ta = TaCursor::new(
             Arc::new(rank),
@@ -335,8 +337,8 @@ mod tests {
             SortedAccess::OneD(OneDStrategy::Binary),
             server.schema(),
         );
-        let got = ta.top_h(&server, &mut st, 1000).unwrap();
+        let got = ta.top_h(&server, &st, 1000).unwrap();
         assert_eq!(got.len(), 60);
-        assert!(ta.next(&server, &mut st).unwrap().is_none());
+        assert!(ta.next(&server, &st).unwrap().is_none());
     }
 }

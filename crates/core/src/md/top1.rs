@@ -16,7 +16,7 @@
 //!   threshold go to the MD dense-region oracle instead of being split
 //!   further (§4.4).
 
-use crate::ctx::SharedState;
+use crate::ctx::{SharedState, StateHandle};
 use crate::index::densemd::md_oracle;
 use crate::md::split::{prefix_split, split_excluding};
 use crate::norm::{NormBox, NormView};
@@ -85,13 +85,13 @@ fn consider(best: &mut Best, t: &Arc<Tuple>, score: f64) {
 /// cursor's cell machinery).
 pub fn md_top1(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     view: &NormView,
     sel: &Query,
     b0: &NormBox,
     opts: MdOptions,
 ) -> Result<Option<(Arc<Tuple>, f64)>, RerankError> {
-    let mut best: Best = history_best(st, view, b0, sel);
+    let mut best: Best = st.read(|s| history_best(s, view, b0, sel));
     let mut queue: VecDeque<NormBox> = VecDeque::new();
     queue.push_back(b0.clone());
 
@@ -105,7 +105,7 @@ pub fn md_top1(
             None => continue,
             Some(x) => x,
         };
-        if opts.dense_index && b.rel_volume(view.bounds()) < st.params.dense_rel_volume() {
+        if opts.dense_index && b.rel_volume(view.bounds()) < st.params().dense_rel_volume() {
             if let Some((t, s)) = md_oracle(server, st, view, &b, sel)? {
                 consider(&mut best, &t, s);
             }
@@ -115,14 +115,18 @@ pub fn md_top1(
         if q.is_unsatisfiable() {
             continue;
         }
-        if st.complete.covers(&q) {
-            if let Some((t, s)) = history_best(st, view, &b, sel) {
+        if let Some(known) = st.read(|s| {
+            s.complete
+                .covers(&q)
+                .then(|| history_best(s, view, &b, sel))
+        }) {
+            if let Some((t, s)) = known {
                 consider(&mut best, &t, s);
             }
             continue;
         }
         let resp = server.query(&q)?;
-        st.absorb(&q, &resp);
+        st.write(|s| s.absorb(&q, &resp));
         match resp.outcome {
             qrs_types::QueryOutcome::Underflow => continue,
             qrs_types::QueryOutcome::Valid => {
@@ -179,7 +183,7 @@ pub fn md_top1(
 /// §4.3.2 direct domination detection: one query on the box `{u ⪯ p} ∩ b`.
 fn probe_dominated(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     view: &NormView,
     b: &NormBox,
     p: &[f64],
@@ -197,14 +201,18 @@ fn probe_dominated(
     if q.is_unsatisfiable() {
         return Ok(());
     }
-    if st.complete.covers(&q) {
-        if let Some((t, s)) = history_best(st, view, &probe, sel) {
+    if let Some(known) = st.read(|s| {
+        s.complete
+            .covers(&q)
+            .then(|| history_best(s, view, &probe, sel))
+    }) {
+        if let Some((t, s)) = known {
             consider(best, &t, s);
         }
         return Ok(());
     }
     let resp = server.query(&q)?;
-    st.absorb(&q, &resp);
+    st.write(|s| s.absorb(&q, &resp));
     for t in &resp.tuples {
         consider(best, t, view.score(t));
     }
@@ -212,14 +220,14 @@ fn probe_dominated(
 }
 
 /// Best known tuple inside a box from history alone.
-pub(crate) fn history_best(st: &SharedState, view: &NormView, b: &NormBox, sel: &Query) -> Best {
+pub(crate) fn history_best(s: &SharedState, view: &NormView, b: &NormBox, sel: &Query) -> Best {
     let attr0 = view.rank().attrs()[0];
     let raw_iv = match view.rank().directions()[0] {
         qrs_types::Direction::Asc => b.dims[0],
         qrs_types::Direction::Desc => b.dims[0].negate(),
     };
     let mut best: Best = None;
-    for t in st.history.in_range(attr0, raw_iv) {
+    for t in s.history.in_range(attr0, raw_iv) {
         if sel.matches(t) && b.contains(&view.norm_coords(t)) {
             let s = view.score(t);
             consider(&mut best, t, s);
@@ -285,11 +293,11 @@ mod tests {
             .min_by(|a, b| cmp_f64(*a, *b));
         let n = data.len();
         for (name, opts) in opts_all() {
-            let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+            let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
             let server = SimServer::new(data.clone(), sys.clone(), k);
             let view = NormView::new(Arc::new(rank.clone()), server.schema());
             let b0 = view.initial_box(&sel);
-            let got = md_top1(&server, &mut st, &view, &sel, &b0, opts).unwrap();
+            let got = md_top1(&server, &st, &view, &sel, &b0, opts).unwrap();
             assert_eq!(got.map(|(_, s)| s), truth, "algo {name}");
         }
     }
@@ -353,42 +361,35 @@ mod tests {
     fn empty_selection_yields_none() {
         let data = uniform(200, 2, 1, 113);
         let sel = Query::all().and_range(AttrId(0), Interval::closed(5.0, 6.0));
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(200, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(200, 5));
         let server = SimServer::new(data, SystemRank::pseudo_random(1), 5);
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
         let view = NormView::new(Arc::new(rank), server.schema());
         let b0 = view.initial_box(&sel);
-        assert!(
-            md_top1(&server, &mut st, &view, &sel, &b0, MdOptions::binary())
-                .unwrap()
-                .is_none()
-        );
+        assert!(md_top1(&server, &st, &view, &sel, &b0, MdOptions::binary())
+            .unwrap()
+            .is_none());
     }
 
     #[test]
     fn rerank_uses_dense_oracle_on_tiny_boxes() {
         let data = uniform(300, 2, 1, 117);
         // Absurdly generous dense threshold: every box goes to the oracle.
-        let mut st = SharedState::new(data.schema(), RerankParams::with_sc(300, 300.0, 0.5));
+        let st = StateHandle::new(data.schema(), RerankParams::with_sc(300, 300.0, 0.5));
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(2), 5);
         let rank = LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]);
         let view = NormView::new(Arc::new(rank.clone()), server.schema());
         let b0 = view.initial_box(&Query::all());
-        let got = md_top1(
-            &server,
-            &mut st,
-            &view,
-            &Query::all(),
-            &b0,
-            MdOptions::rerank(),
-        )
-        .unwrap();
+        let got = md_top1(&server, &st, &view, &Query::all(), &b0, MdOptions::rerank()).unwrap();
         let truth = data
             .tuples()
             .iter()
             .map(|t| rank.score(t))
             .min_by(|a, b| cmp_f64(*a, *b));
         assert_eq!(got.map(|(_, s)| s), truth);
-        assert!(st.densemd.num_boxes() > 0, "oracle never engaged");
+        assert!(
+            st.read(|s| s.densemd.num_boxes()) > 0,
+            "oracle never engaged"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! enumerated value by value in preference order.
 
 use crate::crawl::crawl_region;
-use crate::ctx::SharedState;
+use crate::ctx::StateHandle;
 use crate::one_d::primitives::{next_above, OneDSpec};
 use crate::one_d::OneDStrategy;
 use qrs_server::SearchInterface;
@@ -86,7 +86,7 @@ impl OneDCursor {
     pub fn next(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
     ) -> Result<Option<Arc<Tuple>>, RerankError> {
         loop {
             match &mut self.state {
@@ -150,7 +150,7 @@ impl OneDCursor {
     pub fn drain(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
     ) -> Result<Vec<Arc<Tuple>>, RerankError> {
         let mut out = Vec::new();
         while let Some(t) = self.next(server, st)? {
@@ -162,7 +162,7 @@ impl OneDCursor {
     fn advance(
         &mut self,
         server: &dyn SearchInterface,
-        st: &mut SharedState,
+        st: &StateHandle,
         after: f64,
     ) -> Result<(), RerankError> {
         match next_above(server, st, &self.spec, self.strategy, after, None)? {
@@ -189,24 +189,31 @@ impl OneDCursor {
 /// overflows the interface (sub-crawl on the remaining attributes).
 pub(crate) fn gather_slab(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     spec: &OneDSpec,
     nval: f64,
 ) -> Result<Vec<Arc<Tuple>>, RerankError> {
     let raw = spec.dir.denormalize(nval);
     let q = spec.sel.clone().and_range(spec.attr, Interval::point(raw));
-    if st.complete.covers(&q) {
-        return Ok(st.history.at_value(spec.attr, raw, &q));
+    if let Some(slab) = st.read(|s| {
+        s.complete
+            .covers(&q)
+            .then(|| s.history.at_value(spec.attr, raw, &q))
+    }) {
+        return Ok(slab);
     }
     let resp = server.query(&q)?;
-    st.absorb(&q, &resp);
     if resp.is_overflow() {
+        st.write(|s| s.absorb(&q, &resp));
         // More than k ties at one value: crawl the slab by the other
         // attributes.
         let r = crawl_region(server, st, &q)?;
         return Ok(r.tuples);
     }
-    Ok(st.history.at_value(spec.attr, raw, &q))
+    Ok(st.write(|s| {
+        s.absorb(&q, &resp);
+        s.history.at_value(spec.attr, raw, &q)
+    }))
 }
 
 #[cfg(test)]
@@ -235,11 +242,11 @@ mod tests {
         let data = uniform(300, 2, 1, 51);
         let st0 = RerankParams::paper_defaults(300, 5);
         for strategy in OneDStrategy::ALL {
-            let mut st = SharedState::new(data.schema(), st0);
+            let st = StateHandle::new(data.schema(), st0);
             let server = SimServer::new(data.clone(), SystemRank::by_attr_desc(AttrId(0)), 5);
             let mut cur = OneDCursor::over(AttrId(0), Direction::Asc, Query::all(), strategy);
             let got: Vec<(f64, u32)> = cur
-                .drain(&server, &mut st)
+                .drain(&server, &st)
                 .unwrap()
                 .iter()
                 .map(|t| (t.ord(AttrId(0)), t.id.0))
@@ -257,7 +264,7 @@ mod tests {
     fn streams_with_heavy_ties_exactly() {
         // 6-level grid: many duplicates per value, some slabs overflow k.
         let data = discrete_grid(400, 2, 6, 53);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(400, 7));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(400, 7));
         let server = SimServer::new(data, SystemRank::pseudo_random(1), 7);
         let mut cur = OneDCursor::over(
             AttrId(0),
@@ -266,7 +273,7 @@ mod tests {
             OneDStrategy::Rerank,
         );
         let got: Vec<(f64, u32)> = cur
-            .drain(&server, &mut st)
+            .drain(&server, &st)
             .unwrap()
             .iter()
             .map(|t| (t.ord(AttrId(0)), t.id.0))
@@ -277,12 +284,12 @@ mod tests {
     #[test]
     fn descending_stream_with_filter() {
         let data = uniform(400, 2, 1, 59);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(400, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(400, 5));
         let server = SimServer::new(data, SystemRank::by_attr_asc(AttrId(0)), 5);
         let sel = Query::all().and_range(AttrId(1), Interval::closed(0.2, 0.8));
         let mut cur = OneDCursor::over(AttrId(0), Direction::Desc, sel, OneDStrategy::Binary);
         let got: Vec<(f64, u32)> = cur
-            .drain(&server, &mut st)
+            .drain(&server, &st)
             .unwrap()
             .iter()
             .map(|t| (cur_nval(&cur, t), t.id.0))
@@ -299,7 +306,7 @@ mod tests {
         let data = uniform(250, 2, 1, 61);
         let params = RerankParams::paper_defaults(250, 5);
         let run = |tie: TiePolicy| {
-            let mut st = SharedState::new(data.schema(), params);
+            let st = StateHandle::new(data.schema(), params);
             let server = SimServer::new(data.clone(), SystemRank::by_attr_desc(AttrId(0)), 5);
             let mut cur = OneDCursor::new(
                 OneDSpec::new(AttrId(0), Direction::Asc, Query::all()),
@@ -307,7 +314,7 @@ mod tests {
                 tie,
             );
             let ids: Vec<u32> = cur
-                .drain(&server, &mut st)
+                .drain(&server, &st)
                 .unwrap()
                 .iter()
                 .map(|t| t.id.0)
@@ -341,7 +348,7 @@ mod tests {
             Tuple::new(TupleId(3), vec![1.0, 0.4], vec![1]),
         ];
         let data = qrs_types::Dataset::new(schema, tuples).unwrap();
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(4, 2));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(4, 2));
         let server = SimServer::new(data, SystemRank::pseudo_random(9), 2);
         let mut cur = OneDCursor::over(
             AttrId(0),
@@ -350,14 +357,14 @@ mod tests {
             OneDStrategy::Rerank,
         );
         let got: Vec<u32> = cur
-            .drain(&server, &mut st)
+            .drain(&server, &st)
             .unwrap()
             .iter()
             .map(|t| t.id.0)
             .collect();
         assert_eq!(got, vec![1, 3, 0, 2]);
         // Descending preference reverses the value order.
-        let mut st2 = SharedState::new(
+        let st2 = StateHandle::new(
             server.dataset().schema(),
             RerankParams::paper_defaults(4, 2),
         );
@@ -368,7 +375,7 @@ mod tests {
             OneDStrategy::Rerank,
         );
         let got2: Vec<u32> = cur2
-            .drain(&server, &mut st2)
+            .drain(&server, &st2)
             .unwrap()
             .iter()
             .map(|t| t.id.0)
@@ -379,12 +386,12 @@ mod tests {
     #[test]
     fn empty_result_stream() {
         let data = uniform(100, 2, 1, 67);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(100, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(100, 5));
         let server = SimServer::new(data, SystemRank::pseudo_random(2), 5);
         let sel = Query::all().and_range(AttrId(1), Interval::closed(5.0, 6.0));
         let mut cur = OneDCursor::over(AttrId(0), Direction::Asc, sel, OneDStrategy::Baseline);
-        assert!(cur.next(&server, &mut st).unwrap().is_none());
+        assert!(cur.next(&server, &st).unwrap().is_none());
         // Idempotent.
-        assert!(cur.next(&server, &mut st).unwrap().is_none());
+        assert!(cur.next(&server, &st).unwrap().is_none());
     }
 }

@@ -5,7 +5,7 @@
 //! greater than `after`, optionally strictly below `upto`. The three §3
 //! strategies differ only in how they shrink the uncertainty interval.
 
-use crate::ctx::SharedState;
+use crate::ctx::{SharedState, StateHandle};
 use crate::one_d::OneDStrategy;
 use qrs_server::SearchInterface;
 use qrs_types::value::OrdF64;
@@ -73,7 +73,7 @@ pub enum NarrowResult {
 /// top"; `upto = None` means unbounded.
 pub fn next_above(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     spec: &OneDSpec,
     strategy: OneDStrategy,
     after: f64,
@@ -91,7 +91,7 @@ pub fn next_above(
                 let o = server.schema().ordinal(spec.attr);
                 o.domain_width()
             };
-            let threshold = st.params.dense_width(domain);
+            let threshold = st.params().dense_width(domain);
             match narrow(server, st, spec, after, upto, Some(threshold))? {
                 NarrowResult::Found(t) => Ok(Some(t)),
                 NarrowResult::Exhausted(c) => Ok(c),
@@ -115,15 +115,12 @@ pub fn next_above(
 /// complete regions.
 pub(crate) fn baseline(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     spec: &OneDSpec,
     after: f64,
     upto: Option<f64>,
 ) -> Result<Option<Arc<Tuple>>, RerankError> {
-    let mut cur: Option<Arc<Tuple>> = st
-        .history
-        .next_norm_above(spec.attr, spec.dir, after, upto, &spec.sel)
-        .cloned();
+    let mut cur: Option<Arc<Tuple>> = history_min(st, spec, after, upto);
     loop {
         let hi = effective_hi(cur.as_ref().map(|t| spec.nval(t)), upto);
         let iv = open_interval(after, hi);
@@ -131,13 +128,21 @@ pub(crate) fn baseline(
             return Ok(cur);
         }
         let q = spec.query_for(iv);
-        if st.complete.covers(&q) {
-            // Every tuple in the interval is already known — and history had
-            // none below `cur` (cur is the history minimum).
-            return Ok(cur);
+        // Every tuple in a complete interval is already known: the answer
+        // is the history minimum inside it, read under the same guard (a
+        // racing session may have learned tuples below `cur` since it was
+        // read), or `cur` itself when the interval holds none.
+        if let Some(known) = st.read(|s| {
+            s.complete.covers(&q).then(|| {
+                s.history
+                    .next_norm_above(spec.attr, spec.dir, after, Some(hi), &spec.sel)
+                    .cloned()
+            })
+        }) {
+            return Ok(known.or(cur));
         }
         let resp = server.query(&q)?;
-        st.absorb(&q, &resp);
+        st.write(|s| s.absorb(&q, &resp));
         match resp.outcome {
             qrs_types::QueryOutcome::Underflow => return Ok(cur),
             qrs_types::QueryOutcome::Valid => return Ok(spec.min_tuple(&resp.tuples).cloned()),
@@ -156,16 +161,13 @@ pub(crate) fn baseline(
 /// narrower than `w` (the 1D-RERANK hand-off point).
 pub fn narrow(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     spec: &OneDSpec,
     after: f64,
     upto: Option<f64>,
     stop_width: Option<f64>,
 ) -> Result<NarrowResult, RerankError> {
-    let mut cur: Option<Arc<Tuple>> = st
-        .history
-        .next_norm_above(spec.attr, spec.dir, after, upto, &spec.sel)
-        .cloned();
+    let mut cur: Option<Arc<Tuple>> = history_min(st, spec, after, upto);
     // Invariant: no matching tuple has normalized value in (after, lo).
     // Starting from the very top (`after = -∞`), the public schema domain
     // bounds the uncertainty region — without this, the bisection midpoint
@@ -190,11 +192,19 @@ pub fn narrow(
                 return Ok(NarrowResult::Exhausted(None));
             }
             let q = spec.query_for(iv);
-            if st.complete.covers(&q) {
-                return Ok(NarrowResult::Exhausted(None));
+            // A complete remainder is answered from history under one
+            // guard: nothing below `lo` matches (the invariant), so its
+            // known minimum — learned by a racing session, perhaps — is
+            // the next tuple.
+            if let Some(known) = st.read(|s| s.complete.covers(&q).then(|| known_min(s, spec, &q)))
+            {
+                return Ok(match known {
+                    Some(t) => NarrowResult::Found(t),
+                    None => NarrowResult::Exhausted(None),
+                });
             }
             let resp = server.query(&q)?;
-            st.absorb(&q, &resp);
+            st.write(|s| s.absorb(&q, &resp));
             match resp.outcome {
                 qrs_types::QueryOutcome::Underflow => return Ok(NarrowResult::Exhausted(None)),
                 qrs_types::QueryOutcome::Valid => {
@@ -264,7 +274,7 @@ enum Probe {
 
 fn probe(
     server: &dyn SearchInterface,
-    st: &mut SharedState,
+    st: &StateHandle,
     spec: &OneDSpec,
     iv: Interval,
 ) -> Result<Probe, RerankError> {
@@ -272,21 +282,14 @@ fn probe(
         return Ok(Probe::Empty);
     }
     let q = spec.query_for(iv);
-    if st.complete.covers(&q) {
-        return Ok(
-            match st
-                .history
-                .matching(&q)
-                .into_iter()
-                .min_by_key(|t| (OrdF64(spec.nval(t)), t.id))
-            {
-                Some(t) => Probe::All(t),
-                None => Probe::Empty,
-            },
-        );
+    if let Some(known) = st.read(|s| s.complete.covers(&q).then(|| known_min(s, spec, &q))) {
+        return Ok(match known {
+            Some(t) => Probe::All(t),
+            None => Probe::Empty,
+        });
     }
     let resp = server.query(&q)?;
-    st.absorb(&q, &resp);
+    st.write(|s| s.absorb(&q, &resp));
     Ok(match resp.outcome {
         qrs_types::QueryOutcome::Underflow => Probe::Empty,
         qrs_types::QueryOutcome::Valid => {
@@ -296,6 +299,29 @@ fn probe(
             Probe::Partial(spec.min_tuple(&resp.tuples).cloned().unwrap())
         }
     })
+}
+
+/// The best known matching tuple in `(after, upto)`.
+fn history_min(
+    st: &StateHandle,
+    spec: &OneDSpec,
+    after: f64,
+    upto: Option<f64>,
+) -> Option<Arc<Tuple>> {
+    st.read(|s| {
+        s.history
+            .next_norm_above(spec.attr, spec.dir, after, upto, &spec.sel)
+            .cloned()
+    })
+}
+
+/// The best known tuple matching `q` — the exact answer when `q` is a
+/// complete region.
+fn known_min(s: &SharedState, spec: &OneDSpec, q: &Query) -> Option<Arc<Tuple>> {
+    s.history
+        .matching(q)
+        .into_iter()
+        .min_by_key(|t| (OrdF64(spec.nval(t)), t.id))
 }
 
 fn effective_hi(cur: Option<f64>, upto: Option<f64>) -> f64 {
@@ -358,9 +384,9 @@ mod tests {
     use qrs_datagen::synthetic::uniform;
     use qrs_server::{SimServer, SystemRank};
 
-    fn setup(n: usize, k: usize, seed: u64, friendly: bool) -> (SimServer, SharedState) {
+    fn setup(n: usize, k: usize, seed: u64, friendly: bool) -> (SimServer, StateHandle) {
         let data = uniform(n, 2, 1, seed);
-        let st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
         let sys = if friendly {
             SystemRank::by_attr_asc(AttrId(0))
         } else {
@@ -384,9 +410,9 @@ mod tests {
     fn all_strategies_find_the_true_minimum() {
         for friendly in [true, false] {
             for strategy in OneDStrategy::ALL {
-                let (server, mut st) = setup(400, 5, 17, friendly);
+                let (server, st) = setup(400, 5, 17, friendly);
                 let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
-                let t = next_above(&server, &mut st, &spec, strategy, f64::NEG_INFINITY, None)
+                let t = next_above(&server, &st, &spec, strategy, f64::NEG_INFINITY, None)
                     .unwrap()
                     .expect("non-empty dataset has a minimum");
                 assert_eq!(
@@ -401,11 +427,11 @@ mod tests {
 
     #[test]
     fn descending_direction_finds_maximum() {
-        let (server, mut st) = setup(400, 5, 23, false);
+        let (server, st) = setup(400, 5, 23, false);
         let spec = OneDSpec::new(AttrId(0), Direction::Desc, Query::all());
         let t = next_above(
             &server,
-            &mut st,
+            &st,
             &spec,
             OneDStrategy::Binary,
             f64::NEG_INFINITY,
@@ -424,11 +450,11 @@ mod tests {
 
     #[test]
     fn after_excludes_previous_and_returns_successor() {
-        let (server, mut st) = setup(300, 4, 29, false);
+        let (server, st) = setup(300, 4, 29, false);
         let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
         let first = next_above(
             &server,
-            &mut st,
+            &st,
             &spec,
             OneDStrategy::Rerank,
             f64::NEG_INFINITY,
@@ -438,7 +464,7 @@ mod tests {
         .unwrap();
         let second = next_above(
             &server,
-            &mut st,
+            &st,
             &spec,
             OneDStrategy::Rerank,
             spec.nval(&first),
@@ -455,13 +481,13 @@ mod tests {
 
     #[test]
     fn upto_bounds_the_search() {
-        let (server, mut st) = setup(300, 4, 31, true);
+        let (server, st) = setup(300, 4, 31, true);
         let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
         // Nothing below the true minimum.
         let m = truth_min(&server, &spec, f64::NEG_INFINITY).unwrap();
         let none = next_above(
             &server,
-            &mut st,
+            &st,
             &spec,
             OneDStrategy::Binary,
             f64::NEG_INFINITY,
@@ -473,11 +499,11 @@ mod tests {
 
     #[test]
     fn selection_is_respected() {
-        let (server, mut st) = setup(500, 5, 37, false);
+        let (server, st) = setup(500, 5, 37, false);
         let sel = Query::all().and_range(AttrId(1), Interval::closed(0.4, 0.9));
         let spec = OneDSpec::new(AttrId(0), Direction::Asc, sel);
         for strategy in OneDStrategy::ALL {
-            let t = next_above(&server, &mut st, &spec, strategy, f64::NEG_INFINITY, None)
+            let t = next_above(&server, &st, &spec, strategy, f64::NEG_INFINITY, None)
                 .unwrap()
                 .unwrap();
             assert!(spec.sel.matches(&t));
@@ -490,12 +516,12 @@ mod tests {
 
     #[test]
     fn empty_selection_returns_none_for_all_strategies() {
-        let (server, mut st) = setup(200, 4, 41, true);
+        let (server, st) = setup(200, 4, 41, true);
         let sel = Query::all().and_range(AttrId(1), Interval::closed(2.0, 3.0)); // outside [0,1]
         let spec = OneDSpec::new(AttrId(0), Direction::Asc, sel);
         for strategy in OneDStrategy::ALL {
             assert!(
-                next_above(&server, &mut st, &spec, strategy, f64::NEG_INFINITY, None)
+                next_above(&server, &st, &spec, strategy, f64::NEG_INFINITY, None)
                     .unwrap()
                     .is_none()
             );
@@ -504,11 +530,11 @@ mod tests {
 
     #[test]
     fn history_makes_repeat_searches_cheap() {
-        let (server, mut st) = setup(400, 5, 43, false);
+        let (server, st) = setup(400, 5, 43, false);
         let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
         let t1 = next_above(
             &server,
-            &mut st,
+            &st,
             &spec,
             OneDStrategy::Baseline,
             f64::NEG_INFINITY,
@@ -521,7 +547,7 @@ mod tests {
         // complete, so it costs zero queries.
         let t2 = next_above(
             &server,
-            &mut st,
+            &st,
             &spec,
             OneDStrategy::Baseline,
             f64::NEG_INFINITY,

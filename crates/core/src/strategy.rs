@@ -12,13 +12,13 @@
 //! one — through one `Box<dyn RerankStrategy>` without matching on an
 //! algorithm enum.
 //!
-//! Strategies are **sans-session**: they never see the service's locks,
-//! budgets or retry machinery. Each [`RerankStrategy::next_step`] call
-//! receives a [`StrategyIo`] — the typed request surface (top-k, page
-//! turn, `ORDER BY` page) plus the shared knowledge state — and must issue
-//! at most a bounded burst of requests before returning, so the driver can
-//! re-check budget gates and release locks between steps. Everything a
-//! strategy pays for goes through the ledger the driver meters.
+//! Strategies are **sans-session**: they never see the service's budgets
+//! or retry machinery. Each [`RerankStrategy::next_step`] call receives a
+//! [`StrategyIo`] — the typed request surface (top-k, page turn, `ORDER
+//! BY` page) plus one pinned generation of the shared knowledge state —
+//! and must issue at most a bounded burst of requests before returning, so
+//! the driver can re-check budget gates between steps. Everything a
+//! strategy pays for is recorded on the charge meter the driver reads.
 //!
 //! Strategies also carry their own *cost estimator*
 //! ([`RerankStrategy::estimate`]): given a [`PlanContext`] (site
@@ -29,7 +29,7 @@
 //! currency the ledger will actually charge.
 
 use crate::baselines::PageDownCursor;
-use crate::ctx::SharedState;
+use crate::ctx::StateHandle;
 use crate::md::cursor::MdCursor;
 use crate::md::ta::{SortedAccess, TaCursor};
 use crate::one_d::cursor::{OneDCursor, TiePolicy};
@@ -144,22 +144,24 @@ impl std::fmt::Display for CostEstimate {
 /// The typed I/O surface a strategy drives: every request a restricted
 /// site offers, plus the shared knowledge state. Handed to
 /// [`RerankStrategy::next_step`] by the session driver — strategies never
-/// own a server reference, so the driver stays in charge of locking,
-/// budgets and ledger attribution.
+/// own a server reference, so the driver stays in charge of budgets and
+/// ledger attribution.
 ///
 /// The typed helpers ([`StrategyIo::top_k`], [`StrategyIo::page`]) record
 /// successful responses into the shared query history automatically, so a
 /// custom strategy's paid-for tuples amortize future sessions exactly like
 /// the built-in algorithms' do. (`ORDER BY` pages are recorded tuple by
-/// tuple.)
+/// tuple.) The state lock is taken only for that merge, never across the
+/// request itself.
 pub struct StrategyIo<'a> {
     server: &'a dyn SearchInterface,
-    state: &'a mut SharedState,
+    state: &'a StateHandle,
 }
 
 impl<'a> StrategyIo<'a> {
-    /// Bind the typed request surface to one server and its shared state.
-    pub fn new(server: &'a dyn SearchInterface, state: &'a mut SharedState) -> Self {
+    /// Bind the typed request surface to one server and one pinned
+    /// generation of its shared state.
+    pub fn new(server: &'a dyn SearchInterface, state: &'a StateHandle) -> Self {
         StrategyIo { server, state }
     }
 
@@ -167,7 +169,7 @@ impl<'a> StrategyIo<'a> {
     /// shared history.
     pub fn top_k(&mut self, q: &Query) -> Result<QueryResponse, RerankError> {
         let resp = self.server.query(q)?;
-        self.state.history.record_response(&resp);
+        self.state.write(|s| s.history.record_response(&resp));
         Ok(resp)
     }
 
@@ -175,7 +177,7 @@ impl<'a> StrategyIo<'a> {
     /// into the shared history.
     pub fn page(&mut self, q: &Query, page: usize) -> Result<QueryResponse, RerankError> {
         let resp = self.server.query_page(q, page)?;
-        self.state.history.record_response(&resp);
+        self.state.write(|s| s.history.record_response(&resp));
         Ok(resp)
     }
 
@@ -189,9 +191,11 @@ impl<'a> StrategyIo<'a> {
         page: usize,
     ) -> Result<OrderedPage, RerankError> {
         let p = self.server.query_ordered(q, attr, dir, page)?;
-        for t in &p.tuples {
-            self.state.history.record(t);
-        }
+        self.state.write(|s| {
+            for t in &p.tuples {
+                s.history.record(t);
+            }
+        });
         Ok(p)
     }
 
@@ -214,7 +218,7 @@ impl<'a> StrategyIo<'a> {
     /// (like the built-in cursor wrappers) whose machinery predates the
     /// typed surface; prefer the typed helpers in new code — they keep the
     /// history recording invariant for you.
-    pub fn raw(&mut self) -> (&'a dyn SearchInterface, &mut SharedState) {
+    pub fn raw(&mut self) -> (&'a dyn SearchInterface, &'a StateHandle) {
         (self.server, self.state)
     }
 }
@@ -223,7 +227,7 @@ impl std::fmt::Debug for StrategyIo<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StrategyIo")
             .field("k", &self.server.k())
-            .field("history", &self.state.history.len())
+            .field("history", &self.state.read(|s| s.history.len()))
             .finish()
     }
 }
@@ -232,7 +236,7 @@ impl std::fmt::Debug for StrategyIo<'_> {
 ///
 /// The `qrs-service` session drives one `Box<dyn RerankStrategy>` per
 /// session: [`RerankStrategy::next_step`] until [`StrategyStep::Exhausted`],
-/// with budget gates re-checked and locks released between steps. Register
+/// with budget gates re-checked between steps. Register
 /// custom implementations via `SessionBuilder::strategy(..)`.
 ///
 /// Contract:
@@ -633,8 +637,8 @@ mod tests {
             Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 1.0)]));
         let server_a = SimServer::new(data.clone(), SystemRank::pseudo_random(3), k);
         let server_b = SimServer::new(data.clone(), SystemRank::pseudo_random(3), k);
-        let mut st_a = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
-        let mut st_b = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+        let st_a = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
+        let st_b = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
 
         let mut cursor = MdCursor::new(
             Arc::clone(&rank),
@@ -649,9 +653,9 @@ mod tests {
             data.schema(),
         );
         for _ in 0..10 {
-            let want = cursor.next(&server_a, &mut st_a).unwrap().map(|t| t.id);
+            let want = cursor.next(&server_a, &st_a).unwrap().map(|t| t.id);
             let got = loop {
-                let mut io = StrategyIo::new(&server_b, &mut st_b);
+                let mut io = StrategyIo::new(&server_b, &st_b);
                 match strategy.next_step(&mut io).unwrap() {
                     StrategyStep::Emit(t) => break Some(t.id),
                     StrategyStep::Exhausted => break None,
@@ -671,8 +675,8 @@ mod tests {
         let n = 30;
         let data = uniform(n, 2, 1, 79);
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(5), 5).with_paging();
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 5));
-        let mut io = StrategyIo::new(&server, &mut st);
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, 5));
+        let mut io = StrategyIo::new(&server, &st);
         assert_eq!(io.k(), 5);
         let resp = io.top_k(&Query::all()).unwrap();
         assert_eq!(resp.tuples.len(), 5);
@@ -680,6 +684,6 @@ mod tests {
         assert_eq!(resp.tuples.len(), 5);
         assert!(io.capabilities().paging);
         let _ = io;
-        assert_eq!(st.history.len(), 10);
+        assert_eq!(st.read(|s| s.history.len()), 10);
     }
 }

@@ -9,13 +9,20 @@
 //!   capability set with its cost model, the mutation watermark) and
 //!   served from the cache forever after — the same "advertised at the
 //!   door" epoch story the in-process servers follow;
-//! * **ledgers are cumulative mirrors**: every `/site/*` response carries
-//!   the server's since-birth `{queries, cost_units}`, which the adapter
-//!   stores into atomics. `queries_issued()` is therefore a cheap local
-//!   read (sessions call it under their state lock on every step), and a
-//!   response lost to a dropped connection costs nothing — the next
-//!   response's cumulative counters absorb the missed delta, so client
-//!   and server ledgers reconcile *exactly* by construction;
+//! * **charges reach the caller that caused them**: every `/site/*`
+//!   response carries what the call was `charged` plus the site's
+//!   cumulative `ledger`. The adapter records `charged` on the calling
+//!   thread's charge meter ([`qrs_types::meter`]), exactly as an
+//!   in-process site would, so a session's steps are billed their own
+//!   calls even while other sessions' calls overlap them. A charge whose
+//!   response was lost in transit (a body truncated after the site billed
+//!   it) is never dropped: whenever a charged call's response arrives with
+//!   no other charged call in flight, every earlier charge has been
+//!   reported or lost, so the gap between the cumulative ledger and what
+//!   the adapter has attributed so far is exactly the lost charges, and it
+//!   goes to that caller — once. The cumulative ledger is also mirrored
+//!   (monotonically: the maximum seen, since responses may arrive out of
+//!   order) as `queries_issued()`, a cheap local read;
 //! * **transport faults are transient**: a refused connection, a mid-body
 //!   drop, or an unparsable response all surface as
 //!   [`ServerError::Unavailable`] — the existing `RetryPolicy` machinery
@@ -27,10 +34,14 @@ use crate::http::{read_response, write_request, Response};
 use crate::json::{parse, Json};
 use crate::wire;
 use qrs_server::{Capabilities, OrderedPage, SearchInterface};
-use qrs_types::{AttrId, Direction, MutationLog, Query, QueryResponse, Schema, ServerError};
+use qrs_types::{
+    meter, AttrId, Direction, Ledger, MutationLog, Query, QueryResponse, Schema, ServerError,
+    Tuple, TupleId,
+};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn transport_err(what: impl std::fmt::Display) -> ServerError {
     ServerError::unavailable(format!("transport: {what}"))
@@ -63,8 +74,55 @@ pub struct HttpSiteAdapter {
     k: usize,
     capabilities: Capabilities,
     seq_at_connect: u64,
+    /// The largest cumulative ledger any response has carried.
     queries: AtomicU64,
     cost_units: AtomicU64,
+    /// Charged calls in flight and charges attributed so far.
+    book: Mutex<ChargeBook>,
+    /// The latest decoded copy of every tuple seen, by id: repeated
+    /// answers share one allocation, as an in-process site's answers share
+    /// its store's, instead of every cached response holding its own.
+    tuples: Mutex<HashMap<TupleId, Arc<Tuple>>>,
+}
+
+/// The adapter's attribution state, updated under one lock so "no other
+/// charged call is in flight" and "what has been attributed" are read at
+/// the same moment.
+#[derive(Debug, Default)]
+struct ChargeBook {
+    /// Charged calls sent whose response has not been accounted yet.
+    in_flight: u64,
+    /// Everything billed before connect plus every charge recorded on a
+    /// caller's meter since.
+    attributed: Ledger,
+}
+
+impl ChargeBook {
+    /// Account a charged call's response (its call already left
+    /// `in_flight`) and return what to bill its caller: the call's own
+    /// charge, plus — when no other charged call is in flight, so every
+    /// earlier charge was either reported or lost — whatever the cumulative
+    /// ledger holds beyond everything attributed so far. A cumulative
+    /// reading that does not cover the attributed total is older than a
+    /// response already accounted and settles nothing extra.
+    fn settle(&mut self, cumulative: Ledger, charged: Ledger) -> Ledger {
+        self.attributed += charged;
+        let seen = self.attributed;
+        if self.in_flight > 0
+            || cumulative.queries < seen.queries
+            || cumulative.cost_units < seen.cost_units
+        {
+            return charged;
+        }
+        self.attributed = cumulative;
+        charged + (cumulative - seen)
+    }
+}
+
+/// The `ledger` (cumulative) and `charged` members of a `/site/*` body.
+fn ledgers_of(body: &Json) -> Option<(Ledger, Ledger)> {
+    let get = |name| body.get(name).and_then(|l| wire::ledger_from_json(l).ok());
+    Some((get("ledger")?, get("charged")?))
 }
 
 impl HttpSiteAdapter {
@@ -98,8 +156,15 @@ impl HttpSiteAdapter {
             seq_at_connect,
             queries: AtomicU64::new(0),
             cost_units: AtomicU64::new(0),
+            book: Mutex::new(ChargeBook::default()),
+            tuples: Mutex::new(HashMap::new()),
         };
-        adapter.absorb_ledger(&body);
+        if let Some((cumulative, _)) = ledgers_of(&body) {
+            // What the site billed before this adapter existed is nobody's
+            // here.
+            adapter.book().attributed = cumulative;
+            adapter.absorb_ledger(cumulative);
+        }
         Ok(adapter)
     }
 
@@ -113,32 +178,96 @@ impl HttpSiteAdapter {
         self.seq_at_connect
     }
 
-    /// Mirror the cumulative ledger a response carries. Stores, not adds:
-    /// the wire numbers are since-birth totals, so a missed response is
-    /// automatically absorbed by the next one.
-    fn absorb_ledger(&self, body: &Json) {
-        if let Some(l) = body.get("ledger") {
-            if let Ok(l) = wire::ledger_from_json(l) {
-                self.queries.store(l.queries, Ordering::SeqCst);
-                self.cost_units.store(l.cost_units, Ordering::SeqCst);
+    fn book(&self) -> std::sync::MutexGuard<'_, ChargeBook> {
+        self.book.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Swap each decoded tuple for the copy already held, when that copy
+    /// is bit-for-bit the same tuple (an update under the same id replaces
+    /// it instead).
+    fn intern(&self, tuples: &mut [Arc<Tuple>]) {
+        let mut held = self.tuples.lock().unwrap_or_else(PoisonError::into_inner);
+        for t in tuples {
+            match held.get(&t.id) {
+                Some(known) if same_bits(known, t) => *t = Arc::clone(known),
+                _ => {
+                    held.insert(t.id, Arc::clone(t));
+                }
             }
         }
     }
 
-    /// One `/site/*` call: round trip, mirror the ledger (success and
-    /// typed failure alike), decode or surface the typed error.
+    /// Mirror the cumulative ledger a response carries. A maximum, not a
+    /// store: with calls overlapping, an older reading can arrive after a
+    /// newer one and must not move the mirror back.
+    fn absorb_ledger(&self, cumulative: Ledger) {
+        self.queries.fetch_max(cumulative.queries, Ordering::SeqCst);
+        self.cost_units
+            .fetch_max(cumulative.cost_units, Ordering::SeqCst);
+    }
+
+    /// The `response` member of a top-k or page body, interned.
+    fn decode_response(&self, json: &Json) -> Result<QueryResponse, ServerError> {
+        let mut resp = json
+            .get("response")
+            .ok_or_else(|| transport_err("missing 'response'"))
+            .and_then(|r| wire::response_from_json(r).map_err(transport_err))?;
+        self.intern(&mut resp.tuples);
+        Ok(resp)
+    }
+
+    /// One uncharged `/site/*` call (capabilities, watermark, feed): round
+    /// trip, mirror the cumulative ledger, decode or surface the typed
+    /// error.
     fn site_call(&self, method: &str, target: &str, body: &[u8]) -> Result<Json, ServerError> {
         let resp = round_trip(self.addr, method, target, &[], body)?;
         let json = parse_json_body(&resp)?;
-        // Typed error responses carry the ledger too — a charged failure
-        // (e.g. a truncated page the server already paid for) still
-        // reconciles.
-        self.absorb_ledger(&json);
-        if resp.status == 200 {
-            Ok(json)
-        } else {
-            Err(decode_error_body(&resp, &json))
+        if let Some((cumulative, _)) = ledgers_of(&json) {
+            self.absorb_ledger(cumulative);
         }
+        decode(&resp, json)
+    }
+
+    /// One charged `/site/*` call (query, page, ordered page). The charge
+    /// the response reports — on success and typed failure alike: a
+    /// truncated page is billed even though it failed — is recorded on the
+    /// calling thread's meter, together with any lost charges this
+    /// response is the first quiet moment to account for (module docs).
+    fn charged_call(&self, target: &str, body: &[u8]) -> Result<Json, ServerError> {
+        self.book().in_flight += 1;
+        let outcome = round_trip(self.addr, "POST", target, &[], body)
+            .and_then(|resp| parse_json_body(&resp).map(|json| (resp, json)));
+        let ledgers = outcome.as_ref().ok().and_then(|(_, json)| ledgers_of(json));
+        let bill = {
+            let mut book = self.book();
+            book.in_flight -= 1;
+            ledgers.map(|(cumulative, charged)| (cumulative, book.settle(cumulative, charged)))
+        };
+        if let Some((cumulative, bill)) = bill {
+            self.absorb_ledger(cumulative);
+            meter::record_paid(bill);
+        }
+        let (resp, json) = outcome?;
+        decode(&resp, json)
+    }
+}
+
+fn same_bits(a: &Tuple, b: &Tuple) -> bool {
+    a.id == b.id
+        && a.cats() == b.cats()
+        && a.ords().len() == b.ords().len()
+        && a.ords()
+            .iter()
+            .zip(b.ords())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// A `/site/*` body, or the typed error it carries.
+fn decode(resp: &Response, json: Json) -> Result<Json, ServerError> {
+    if resp.status == 200 {
+        Ok(json)
+    } else {
+        Err(decode_error_body(resp, &json))
     }
 }
 
@@ -189,10 +318,8 @@ impl SearchInterface for HttpSiteAdapter {
 
     fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
         let body = Json::obj(vec![("query", wire::query_to_json(q))]).encode();
-        let json = self.site_call("POST", "/site/query", body.as_bytes())?;
-        json.get("response")
-            .ok_or_else(|| transport_err("missing 'response'"))
-            .and_then(|r| wire::response_from_json(r).map_err(transport_err))
+        let json = self.charged_call("/site/query", body.as_bytes())?;
+        self.decode_response(&json)
     }
 
     fn queries_issued(&self) -> u64 {
@@ -209,10 +336,8 @@ impl SearchInterface for HttpSiteAdapter {
             ("page", Json::u64(page as u64)),
         ])
         .encode();
-        let json = self.site_call("POST", "/site/page", body.as_bytes())?;
-        json.get("response")
-            .ok_or_else(|| transport_err("missing 'response'"))
-            .and_then(|r| wire::response_from_json(r).map_err(transport_err))
+        let json = self.charged_call("/site/page", body.as_bytes())?;
+        self.decode_response(&json)
     }
 
     fn query_ordered(
@@ -235,10 +360,13 @@ impl SearchInterface for HttpSiteAdapter {
             ("page", Json::u64(page as u64)),
         ])
         .encode();
-        let json = self.site_call("POST", "/site/ordered", body.as_bytes())?;
-        json.get("page")
+        let json = self.charged_call("/site/ordered", body.as_bytes())?;
+        let mut page = json
+            .get("page")
             .ok_or_else(|| transport_err("missing 'page'"))
-            .and_then(|p| wire::ordered_page_from_json(p).map_err(transport_err))
+            .and_then(|p| wire::ordered_page_from_json(p).map_err(transport_err))?;
+        self.intern(&mut page.tuples);
+        Ok(page)
     }
 
     fn mutation_seq(&self) -> u64 {
@@ -468,4 +596,85 @@ fn decode_outcome(v: &Json) -> Result<WireOutcome, EdgeClientError> {
             .and_then(Json::as_str)
             .map(str::to_string),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qrs_types::OrdinalAttr;
+
+    /// An adapter that never touches the network (ledger bookkeeping only).
+    fn offline_adapter() -> HttpSiteAdapter {
+        HttpSiteAdapter {
+            addr: SocketAddr::from(([127, 0, 0, 1], 9)),
+            schema: Arc::new(Schema::new(vec![OrdinalAttr::new("x", 0.0, 1.0)], vec![])),
+            k: 1,
+            capabilities: Capabilities::none(),
+            seq_at_connect: 0,
+            queries: AtomicU64::new(0),
+            cost_units: AtomicU64::new(0),
+            book: Mutex::new(ChargeBook::default()),
+            tuples: Mutex::new(HashMap::new()),
+        }
+    }
+
+    #[test]
+    fn a_lost_charge_goes_to_the_first_caller_alone_in_flight() {
+        let mut book = ChargeBook {
+            in_flight: 2,
+            attributed: Ledger::new(10, 30),
+        };
+        // Two calls out; an earlier one (1 query, 5 units) was billed but
+        // its response lost. The first to return is not alone: it pays
+        // only its own charge.
+        book.in_flight -= 1;
+        assert_eq!(
+            book.settle(Ledger::new(13, 39), Ledger::new(1, 2)),
+            Ledger::new(1, 2)
+        );
+        // The second returns with nothing else in flight: the gap can only
+        // be the lost charge, and it is billed here, once.
+        book.in_flight -= 1;
+        assert_eq!(
+            book.settle(Ledger::new(13, 39), Ledger::new(1, 2)),
+            Ledger::new(2, 7)
+        );
+        assert_eq!(book.attributed, Ledger::new(13, 39));
+        // A stale cumulative reading settles nothing extra.
+        assert_eq!(
+            book.settle(Ledger::new(12, 37), Ledger::new(0, 0)),
+            Ledger::new(0, 0)
+        );
+        assert_eq!(book.attributed, Ledger::new(13, 39));
+    }
+
+    #[test]
+    fn repeated_tuples_share_one_allocation_until_updated() {
+        let adapter = offline_adapter();
+        let decoded = |x: f64| Arc::new(Tuple::new(TupleId(7), vec![x], vec![]));
+        let mut first = vec![decoded(0.5)];
+        let mut again = vec![decoded(0.5)];
+        adapter.intern(&mut first);
+        adapter.intern(&mut again);
+        assert!(Arc::ptr_eq(&first[0], &again[0]));
+        // An update under the same id is a different tuple: it is kept,
+        // and replaces the held copy for later answers.
+        let mut updated = vec![decoded(0.25)];
+        adapter.intern(&mut updated);
+        assert_eq!(updated[0].ord(qrs_types::AttrId(0)), 0.25);
+        let mut later = vec![decoded(0.25)];
+        adapter.intern(&mut later);
+        assert!(Arc::ptr_eq(&updated[0], &later[0]));
+    }
+
+    #[test]
+    fn ledger_mirror_never_moves_back() {
+        let adapter = offline_adapter();
+        adapter.absorb_ledger(Ledger::new(9, 30));
+        // An older cumulative reading arriving late, as overlapping calls
+        // make routine.
+        adapter.absorb_ledger(Ledger::new(7, 25));
+        assert_eq!(adapter.queries_issued(), 9);
+        assert_eq!(adapter.cost_units_issued(), 30);
+    }
 }

@@ -18,8 +18,11 @@
 //! | `GET /stats`                   | service + knowledge + fleet counters |
 //!
 //! Every `/site/*` response — success and typed failure alike — carries
-//! the site's **cumulative** ledgers, so a client that missed a response
-//! reconciles exactly from the next one it sees.
+//! two ledgers: `charged`, what this call was billed, read off the handler
+//! thread's charge meter ([`qrs_types::meter`]), and `ledger`, the site's
+//! **cumulative** bill. The client attributes `charged` to the caller that
+//! made the call; the cumulative lets it account for a charge whose
+//! response was lost in transit (see [`crate::HttpSiteAdapter`]).
 //!
 //! ## Admission order (the part that must not charge)
 //!
@@ -44,7 +47,7 @@ use qrs_exec::{CancelToken, Executor};
 use qrs_obs::EventKind;
 use qrs_ranking::LinearRank;
 use qrs_service::{BatchOutcome, BatchRequest, RerankService};
-use qrs_types::{AttrId, Direction, Ledger, ServerError};
+use qrs_types::{meter, AttrId, Direction, Ledger, ServerError};
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -125,7 +128,7 @@ struct Shared {
     config: EdgeConfig,
     inflight: AtomicU64,
     /// Each tenant's cumulative spend, charged after each served batch
-    /// from the same in-lock session ledgers the service stats use.
+    /// from the same metered session ledgers the service stats use.
     tenants: Mutex<BTreeMap<String, Ledger>>,
     admitted: AtomicU64,
     rejected: AtomicU64,
@@ -295,25 +298,31 @@ fn error_response(status: u16, code: &str, message: String) -> Response {
 
 // ------------------------------------------------------------ /site/*
 
-fn site_ledger(shared: &Shared) -> Json {
-    let site = shared.svc.server();
-    wire::ledger_json(site.issued())
+/// Run one site call, reading what it was billed off this handler
+/// thread's charge meter.
+fn metered<T>(call: impl FnOnce() -> T) -> (T, Ledger) {
+    let before = meter::charges().paid;
+    let out = call();
+    (out, meter::charges().paid - before)
 }
 
-fn site_ok(shared: &Shared, members: Vec<(&str, Json)>) -> Response {
+/// A `/site/*` success. The cumulative ledger is read after the call, so
+/// it always includes `charged`.
+fn site_ok(shared: &Shared, charged: Ledger, members: Vec<(&str, Json)>) -> Response {
     let mut members = members;
-    members.push(("ledger", site_ledger(shared)));
+    members.extend(wire::site_ledgers(shared.svc.server().issued(), charged));
     Response::json(200, Json::obj(members).encode())
 }
 
-fn site_err(shared: &Shared, e: &ServerError) -> Response {
-    wire::server_error_response(e, site_ledger(shared))
+fn site_err(shared: &Shared, charged: Ledger, e: &ServerError) -> Response {
+    wire::server_error_response(e, shared.svc.server().issued(), charged)
 }
 
 fn site_capabilities(shared: &Shared) -> Response {
     let site = shared.svc.server();
     site_ok(
         shared,
+        Ledger::default(),
         vec![
             ("schema", wire::schema_to_json(site.schema())),
             ("k", Json::u64(site.k() as u64)),
@@ -343,11 +352,15 @@ fn site_query(req: &Request, shared: &Shared) -> Response {
         .and_then(wire::query_from_json)
     {
         Ok(q) => q,
-        Err(e) => return site_err(shared, &ServerError::invalid_query(e)),
+        Err(e) => return site_err(shared, Ledger::default(), &ServerError::invalid_query(e)),
     };
-    match shared.svc.server().query(&q) {
-        Ok(r) => site_ok(shared, vec![("response", wire::response_to_json(&r))]),
-        Err(e) => site_err(shared, &e),
+    match metered(|| shared.svc.server().query(&q)) {
+        (Ok(r), charged) => site_ok(
+            shared,
+            charged,
+            vec![("response", wire::response_to_json(&r))],
+        ),
+        (Err(e), charged) => site_err(shared, charged, &e),
     }
 }
 
@@ -366,11 +379,15 @@ fn site_page(req: &Request, shared: &Shared) -> Response {
     })();
     let (q, page) = match decoded {
         Ok(d) => d,
-        Err(e) => return site_err(shared, &ServerError::invalid_query(e)),
+        Err(e) => return site_err(shared, Ledger::default(), &ServerError::invalid_query(e)),
     };
-    match shared.svc.server().query_page(&q, page) {
-        Ok(r) => site_ok(shared, vec![("response", wire::response_to_json(&r))]),
-        Err(e) => site_err(shared, &e),
+    match metered(|| shared.svc.server().query_page(&q, page)) {
+        (Ok(r), charged) => site_ok(
+            shared,
+            charged,
+            vec![("response", wire::response_to_json(&r))],
+        ),
+        (Err(e), charged) => site_err(shared, charged, &e),
     }
 }
 
@@ -398,17 +415,22 @@ fn site_ordered(req: &Request, shared: &Shared) -> Response {
     })();
     let (q, attr, dir, page) = match decoded {
         Ok(d) => d,
-        Err(e) => return site_err(shared, &ServerError::invalid_query(e)),
+        Err(e) => return site_err(shared, Ledger::default(), &ServerError::invalid_query(e)),
     };
-    match shared.svc.server().query_ordered(&q, attr, dir, page) {
-        Ok(p) => site_ok(shared, vec![("page", wire::ordered_page_to_json(&p))]),
-        Err(e) => site_err(shared, &e),
+    match metered(|| shared.svc.server().query_ordered(&q, attr, dir, page)) {
+        (Ok(p), charged) => site_ok(
+            shared,
+            charged,
+            vec![("page", wire::ordered_page_to_json(&p))],
+        ),
+        (Err(e), charged) => site_err(shared, charged, &e),
     }
 }
 
 fn site_seq(shared: &Shared) -> Response {
     site_ok(
         shared,
+        Ledger::default(),
         vec![("seq", Json::u64(shared.svc.server().mutation_seq()))],
     )
 }
@@ -419,13 +441,18 @@ fn site_mutations(req: &Request, shared: &Shared) -> Response {
         None => {
             return site_err(
                 shared,
+                Ledger::default(),
                 &ServerError::invalid_query("missing or bad 'since' parameter"),
             )
         }
     };
     match shared.svc.server().mutations_since(since) {
-        Ok(log) => site_ok(shared, vec![("log", wire::mutation_log_to_json(&log))]),
-        Err(e) => site_err(shared, &e),
+        Ok(log) => site_ok(
+            shared,
+            Ledger::default(),
+            vec![("log", wire::mutation_log_to_json(&log))],
+        ),
+        Err(e) => site_err(shared, Ledger::default(), &e),
     }
 }
 
@@ -641,7 +668,7 @@ fn rerank_admitted(req: &Request, shared: &Shared, tenant: &str) -> Response {
     let outcomes = shared
         .svc
         .serve_batch_cancellable(&shared.exec, batch, &CancelToken::new());
-    // Charge: the summed in-lock session ledgers land on the tenant.
+    // Charge: the summed session ledgers land on the tenant.
     let charged = outcomes.iter().fold(Ledger::default(), |acc, o| {
         acc + Ledger::new(o.stats.queries_spent, o.stats.cost_units_spent)
     });

@@ -660,12 +660,24 @@ pub fn server_error_from_json(v: &Json) -> WireResult<ServerError> {
     }
 }
 
+/// The two ledgers every `/site/*` response carries: `ledger`, the site's
+/// cumulative bill across all callers, and `charged`, what this one call
+/// was billed.
+pub fn site_ledgers(cumulative: Ledger, charged: Ledger) -> [(&'static str, Json); 2] {
+    [
+        ("ledger", ledger_json(cumulative)),
+        ("charged", ledger_json(charged)),
+    ]
+}
+
 /// Build the full HTTP response for a `/site/*` failure: mapped status,
-/// typed body, the cumulative ledger, and — for rate limits with a hint —
+/// typed body, both [`site_ledgers`], and — for rate limits with a hint —
 /// a `Retry-After` header (ceiling-rounded to whole seconds, as the
 /// header speaks seconds while the body keeps millisecond precision).
-pub fn server_error_response(e: &ServerError, ledger: Json) -> Response {
-    let body = Json::obj(vec![("error", server_error_to_json(e)), ("ledger", ledger)]);
+pub fn server_error_response(e: &ServerError, cumulative: Ledger, charged: Ledger) -> Response {
+    let mut members = vec![("error", server_error_to_json(e))];
+    members.extend(site_ledgers(cumulative, charged));
+    let body = Json::obj(members);
     let mut resp = Response::json(server_error_status(e), body.encode());
     if let ServerError::RateLimited {
         retry_after_ms: Some(ms),
@@ -849,13 +861,18 @@ mod tests {
             &ServerError::RateLimited {
                 retry_after_ms: Some(1500),
             },
-            ledger_json(Ledger::new(3, 7)),
+            Ledger::new(3, 7),
+            Ledger::new(0, 0),
         );
         assert_eq!(resp.header("retry-after"), Some("2"));
         let body = crate::json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(
             ledger_from_json(body.get("ledger").unwrap()).unwrap(),
             Ledger::new(3, 7)
+        );
+        assert_eq!(
+            ledger_from_json(body.get("charged").unwrap()).unwrap(),
+            Ledger::new(0, 0)
         );
     }
 

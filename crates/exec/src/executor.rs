@@ -17,23 +17,40 @@
 //! order; different seeds shuffle the schedule to flush out accidental
 //! order-dependence — a poor man's schedule fuzzer that needs no threads.
 //!
-//! ## Caveats
+//! ## Runners and caveats
 //!
-//! [`TaskHandle::join`] never deadlocks, in either mode: a join finding
-//! its task still queued *steals* it and runs it inline on the joining
-//! thread, so join-inside-a-task works even on a one-worker pool. What
-//! CAN starve is nesting `scope` calls *on the same pool* from inside a
-//! task and relying on the scope's implicit wait-all for unjoined tasks —
-//! that wait cannot steal (it has no handles). Join inner tasks
-//! explicitly, keep scopes one level deep per pool (the service layer
-//! does), or use immediate mode, which nests fine.
+//! A pool of `n` workers runs at most `n` tasks at once: only its own
+//! workers ever run its tasks. [`TaskHandle::join`] called by a worker of
+//! the same pool (join-inside-a-task) finds its task still queued and
+//! *steals* it, running it inline — the worker was going to block anyway,
+//! so no task runs beside it, and join-inside-a-task cannot deadlock even
+//! on a one-worker pool. A join from any other thread waits for the
+//! workers instead of stealing, so `Executor::pool(1)` is one runner:
+//! outside joins never start a second task beside the worker's, and tasks
+//! run one at a time in spawn order. What CAN starve is nesting `scope`
+//! calls *on the same pool* from inside a task and relying on the scope's
+//! implicit wait-all for unjoined tasks — that wait cannot steal (it has
+//! no handles). Join inner tasks explicitly, keep scopes one level deep
+//! per pool (the service layer does), or use immediate mode, which nests
+//! fine.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
+
+thread_local! {
+    /// The pool this thread works for, as the address of its
+    /// [`PoolShared`] (0 on threads that are no pool's worker).
+    static WORKER_OF: Cell<usize> = const { Cell::new(0) };
+}
+
+fn pool_id(shared: &Arc<PoolShared>) -> usize {
+    Arc::as_ptr(shared) as usize
+}
 
 /// Lock a std mutex, shrugging off poison: holders never leave torn state
 /// (panics are caught at task boundaries before locks are touched).
@@ -55,9 +72,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 struct PoolShared {
     /// (queued `(token, job)` pairs, shutdown flag). Tokens are pool-unique
-    /// so a [`TaskHandle::join`] can *steal* its own still-queued job and
-    /// run it inline — join-inside-a-task can therefore never deadlock
-    /// waiting for a free worker.
+    /// so a [`TaskHandle::join`] on one of this pool's workers can *steal*
+    /// its own still-queued job and run it inline — join-inside-a-task can
+    /// therefore never deadlock waiting for a free worker.
     queue: Mutex<(VecDeque<(u64, Job)>, bool)>,
     job_ready: Condvar,
     /// Source of queue tokens, unique across all scopes on this pool.
@@ -65,6 +82,7 @@ struct PoolShared {
 }
 
 fn worker_loop(shared: Arc<PoolShared>) {
+    WORKER_OF.with(|w| w.set(pool_id(&shared)));
     loop {
         let job = {
             let mut g = lock(&shared.queue);
@@ -432,11 +450,12 @@ impl<T> TaskHandle<'_, T> {
     /// panic payload if it panicked (a payload delivered here no longer
     /// fails the scope — it is the caller's to handle).
     ///
-    /// If the task has not started yet, `join` runs it **inline on the
-    /// calling thread**: in immediate mode that is what makes join-ordered
-    /// code deterministic, and in pool mode it means joining from inside
-    /// another task can never deadlock waiting for a free worker — the
-    /// joined job is stolen from the queue instead.
+    /// If the task has not started yet, `join` may run it **inline on the
+    /// calling thread**: always in immediate mode, which is what makes
+    /// join-ordered code deterministic; in pool mode only when the caller
+    /// is a worker of the same pool, so joining from inside another task
+    /// can never deadlock waiting for a free worker, while a join from
+    /// outside the pool waits and never adds a runner.
     pub fn join(self) -> T {
         match &self.pool {
             None => {
@@ -450,7 +469,7 @@ impl<T> TaskHandle<'_, T> {
                     job();
                 }
             }
-            Some(shared) => {
+            Some(shared) if WORKER_OF.with(Cell::get) == pool_id(shared) => {
                 let job = {
                     let mut g = lock(&shared.queue);
                     g.0.iter()
@@ -462,6 +481,7 @@ impl<T> TaskHandle<'_, T> {
                     job();
                 }
             }
+            Some(_) => {}
         }
         let mut g = lock(&self.slot.result);
         loop {
@@ -611,6 +631,41 @@ mod tests {
             .join()
         });
         assert_eq!(got, 42);
+    }
+
+    #[test]
+    fn outside_joins_on_a_one_worker_pool_never_add_a_runner() {
+        // Joining from a thread outside the pool must wait for the worker,
+        // never steal a queued task and run it beside the one the worker
+        // is busy with: on pool(1), at most one task runs at any moment.
+        let exec = Executor::pool(1);
+        let active = AtomicUsize::new(0);
+        let max_active = AtomicUsize::new(0);
+        let order = Mutex::new(Vec::new());
+        for _ in 0..200 {
+            lock(&order).clear();
+            exec.scope(|s| {
+                let handles: Vec<_> = (0..4usize)
+                    .map(|i| {
+                        let (active, max_active, order) = (&active, &max_active, &order);
+                        s.spawn(move || {
+                            let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                            max_active.fetch_max(now, Ordering::SeqCst);
+                            lock(order).push(i);
+                            std::hint::spin_loop();
+                            active.fetch_sub(1, Ordering::SeqCst);
+                        })
+                    })
+                    .collect();
+                // Join out of spawn order: a stealing join would start
+                // task 3 while the worker still runs an earlier one.
+                for h in handles.into_iter().rev() {
+                    h.join();
+                }
+            });
+            assert_eq!(*lock(&order), vec![0, 1, 2, 3], "one runner, spawn order");
+        }
+        assert_eq!(max_active.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!    result streams byte-identical.
 //! 2. **Exact, not sampled.** Spend-carrying events
 //!    ([`EventKind::RequestCharged`], [`EventKind::KnowledgeHit`]) carry
-//!    the same in-lock ledger deltas the session/service stats accumulate,
+//!    the same metered ledger deltas the session/service stats accumulate,
 //!    so monitor reports reconcile *exactly* against those ledgers.
 //! 3. **Deterministic.** Timestamps come from the emitting service's
 //!    injectable clock (passed in by callers — this crate reads no OS

@@ -4,7 +4,7 @@
 //! The *predicted* column is seeded by [`crate::EventKind::PlanChosen`]
 //! events (plan-time `CostEstimate`s); the *actual* column is settled by
 //! [`crate::EventKind::RequestCharged`] deltas, which carry the same
-//! in-lock ledger numbers the session and service stats accumulate — so a
+//! metered ledger numbers the session and service stats accumulate — so a
 //! monitor report reconciles exactly against those ledgers, by
 //! construction. Divergence ratios (actual / predicted) are the signal the
 //! ROADMAP's mid-flight re-planning loop consumes: a ratio drifting from

@@ -15,7 +15,9 @@
 use crate::interface::SearchInterface;
 use parking_lot::Mutex;
 use qrs_types::value::cmp_f64;
-use qrs_types::{Endpoint, OrdinalAttr, Query, QueryResponse, Schema, ServerError, Tuple, TupleId};
+use qrs_types::{
+    meter, Endpoint, Ledger, OrdinalAttr, Query, QueryResponse, Schema, ServerError, Tuple, TupleId,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -110,6 +112,7 @@ impl SearchInterface for AdversaryServer {
 
     fn query(&self, q: &Query) -> Result<QueryResponse, ServerError> {
         self.counter.fetch_add(1, Ordering::Relaxed);
+        meter::record_paid(Ledger::new(1, 1));
         let attr = qrs_types::AttrId(0);
         let iv = q.interval(attr);
         let mut st = self.state.lock();

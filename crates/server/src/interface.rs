@@ -165,11 +165,15 @@ impl Capabilities {
 /// Every *successful* call to [`SearchInterface::query`],
 /// [`SearchInterface::query_page`] or [`SearchInterface::query_ordered`]
 /// costs one unit of the paper's query budget and increments
-/// [`SearchInterface::queries_issued`]. Failed calls may or may not be
-/// charged, at the adapter's discretion — the in-tree simulators do *not*
-/// charge refused requests (the backend rejected them before doing any
-/// work), while a real HTTP adapter may, since some sites count rejected
-/// requests against quotas too.
+/// [`SearchInterface::queries_issued`]. The site that bills a call also
+/// records the charge on the calling thread's [`qrs_types::meter`] at the
+/// same moment — that reading, not the global counter, is how the service
+/// attributes spend to the session whose step made the call. Decorators
+/// that forward to a billing site inherit this for free. Failed calls may
+/// or may not be charged, at the adapter's discretion — the in-tree
+/// simulators do *not* charge refused requests (the backend rejected them
+/// before doing any work), while a real HTTP adapter may, since some sites
+/// count rejected requests against quotas too.
 pub trait SearchInterface: Send + Sync {
     /// Schema of the underlying database (public on real sites via the
     /// search form).
@@ -200,8 +204,8 @@ pub trait SearchInterface: Send + Sync {
         self.queries_issued()
     }
 
-    /// Both counters as one [`Ledger`] reading; the session layer takes
-    /// these before and after each strategy step and charges the delta.
+    /// Both counters as one [`Ledger`] reading: the site's cumulative bill,
+    /// across every caller.
     fn issued(&self) -> Ledger {
         Ledger::new(self.queries_issued(), self.cost_units_issued())
     }

@@ -27,9 +27,9 @@ use crate::system_rank::SystemRank;
 use parking_lot::{Mutex, RwLock};
 use qrs_types::value::cmp_f64;
 use qrs_types::{
-    AttrId, Capability, CostModel, Dataset, Direction, Endpoint, FilterSupport, Mutation,
-    MutationKind, MutationLog, Query, QueryResponse, RequestKind, Schema, ServerError, Tuple,
-    TupleId, TypeError,
+    meter, AttrId, Capability, CostModel, Dataset, Direction, Endpoint, FilterSupport, Ledger,
+    Mutation, MutationKind, MutationLog, Query, QueryResponse, RequestKind, Schema, ServerError,
+    Tuple, TupleId, TypeError,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -324,7 +324,8 @@ impl SimServer {
     /// Admit (and charge) a query, or refuse it. Refused queries are not
     /// charged — to either ledger: the backend rejected them before doing
     /// any work. Admitted ones charge the raw counter by 1 and the
-    /// weighted ledger by the cost model's price for `(q, kind)`.
+    /// weighted ledger by the cost model's price for `(q, kind)`, and
+    /// record the same charge on the calling thread's [`meter`].
     fn charge(&self, q: &Query, kind: RequestKind) -> Result<(), ServerError> {
         // NaN endpoints violate the interface contract outright (they
         // compare as after-every-real, matching a surprising set); refuse
@@ -349,8 +350,9 @@ impl SimServer {
                 self.counter.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.cost_counter
-            .fetch_add(self.cost_model.charge(q, kind), Ordering::Relaxed);
+        let units = self.cost_model.charge(q, kind);
+        self.cost_counter.fetch_add(units, Ordering::Relaxed);
+        meter::record_paid(Ledger::new(1, units));
         if let Some(log) = &self.log {
             log.lock().push(q.clone());
         }

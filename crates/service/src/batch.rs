@@ -8,10 +8,10 @@
 //! pool, all against the shared knowledge, the shared query budget, and
 //! the shared retry budget. Outcomes come back in request order, each
 //! carrying its hits, its typed error (if any), and its exact
-//! [`SessionStats`] — per-request attribution stays precise because every
-//! counter is updated inside the shared-state lock or via atomics
-//! ([`crate::ServiceStats`], [`crate::QueryBudget`],
-//! [`crate::RetryBudget`]).
+//! [`SessionStats`] — per-request attribution stays precise because spend
+//! is read from the charge meter of the thread that stepped the session,
+//! and shared counters are atomics ([`crate::ServiceStats`],
+//! [`crate::QueryBudget`], [`crate::RetryBudget`]).
 //!
 //! Cancellation is cooperative: [`RerankService::serve_batch_cancellable`]
 //! checks the token between Get-Next pulls, so a cancelled batch stops at
@@ -204,8 +204,8 @@ fn run_one(svc: &RerankService, req: BatchRequest, cancel: &CancelToken) -> Batc
 /// The multi-service batch driver: one pooled task per *(service,
 /// request)* pair, outcomes in input order. Sessions against the same
 /// service share its knowledge, budgets, and stats; sessions against
-/// different services progress fully independently (their state locks
-/// don't touch).
+/// different services progress fully independently (their states don't
+/// touch).
 pub fn drive(
     exec: &Executor,
     jobs: Vec<(&RerankService, BatchRequest)>,

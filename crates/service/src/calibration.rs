@@ -6,7 +6,7 @@
 //! particular data distribution. [`Calibration`] closes that loop with
 //! observed-cost statistics per (strategy family):
 //!
-//! * **per-request** — [`Calibration::on_charge`] folds the same in-lock
+//! * **per-request** — [`Calibration::on_charge`] folds the same metered
 //!   `(queries, cost_units)` deltas the session and service ledgers
 //!   accumulate into a cost-units-per-query [`Ewma`] keyed by
 //!   [`QueryClass`],

@@ -20,7 +20,7 @@ use qrs_core::strategy::{
     MdCursorStrategy, OneDCursorStrategy, PageDownStrategy, RerankStrategy, TaCursorStrategy,
 };
 use qrs_core::{
-    KnowledgeGate, MdOptions, OneDSpec, OneDStrategy, RerankParams, SharedState, TiePolicy,
+    KnowledgeGate, MdOptions, OneDSpec, OneDStrategy, RerankParams, StateHandle, TiePolicy,
 };
 use qrs_knowledge::{query_key, KnowledgePlane, ResultKey};
 use qrs_obs::{EventKind, MonitorReport, ObsHandle, QueryClass};
@@ -74,12 +74,19 @@ pub enum Algorithm {
 
 /// A third-party reranking service fronting one client-server database.
 ///
-/// The shared state (history, complete regions, dense indexes) lives behind
-/// a mutex and is reused by every session — concurrent sessions interleave
-/// at Get-Next granularity.
+/// The shared state (history, complete regions, dense indexes) is reused by
+/// every session. Each strategy step pins the current generation and locks
+/// it only to read or merge knowledge, never across a site call, so
+/// concurrent sessions wait on the site side by side (see
+/// [`qrs_core::ctx`]).
 pub struct RerankService {
     server: Arc<dyn SearchInterface>,
-    state: Mutex<SharedState>,
+    /// The swap point: the current state generation. Steps clone the handle
+    /// once; a rebuild replaces it instead of clearing it in place.
+    state: Mutex<StateHandle>,
+    /// The dense-index parameters every generation is built with. Kept
+    /// outside the state so planning never waits on it.
+    params: RerankParams,
     stats: ServiceStats,
     budget: QueryBudget,
     /// Default retry policy for sessions that don't override it.
@@ -117,11 +124,12 @@ impl RerankService {
 
     /// Service with explicit dense-index parameters.
     pub fn with_params(server: Arc<dyn SearchInterface>, params: RerankParams) -> Self {
-        let state = SharedState::new(server.schema(), params);
+        let state = StateHandle::new(server.schema(), params);
         let state_watermark = AtomicU64::new(server.mutation_seq());
         RerankService {
             server,
             state: Mutex::new(state),
+            params,
             stats: ServiceStats::default(),
             budget: QueryBudget::unlimited(),
             retry_policy: RetryPolicy::none(),
@@ -136,20 +144,21 @@ impl RerankService {
     }
 
     /// Poll the server's mutation feed and, if it moved past the watermark
-    /// the shared state was built against, rebuild the state empty: the
-    /// history tuples, completeness proofs and dense indexes all describe
-    /// the pre-mutation snapshot, and an algorithm trusting them after a
-    /// delete would emit vanished tuples. Called by every
-    /// [`SessionBuilder::open`]; a no-op on servers without a mutation
-    /// feed (their sequence number is 0 forever). Returns the sequence
-    /// number seen.
+    /// the shared state was built against, swap in a fresh, empty state
+    /// generation: the history tuples, completeness proofs and dense
+    /// indexes all describe the pre-mutation snapshot, and an algorithm
+    /// trusting them after a delete would emit vanished tuples. Steps
+    /// already in flight keep the generation they pinned — the swap never
+    /// waits for them. Called by every [`SessionBuilder::open`]; a no-op on
+    /// servers without a mutation feed (their sequence number is 0
+    /// forever). Returns the sequence number seen.
     pub(crate) fn sync_state(&self) -> u64 {
         let seq = self.server.mutation_seq();
         if seq > self.state_watermark.load(Ordering::Acquire) {
-            let mut st = self.state.lock();
-            // Re-check under the lock: a racing open may have rebuilt.
+            let mut current = self.state.lock();
+            // Re-check under the swap lock: a racing open may have rebuilt.
             if seq > self.state_watermark.load(Ordering::Acquire) {
-                *st = SharedState::new(self.server.schema(), st.params);
+                *current = StateHandle::new(self.server.schema(), self.params);
                 self.state_watermark.store(seq, Ordering::Release);
             }
         }
@@ -349,7 +358,7 @@ impl RerankService {
     /// The database-size estimate the service was built with (drives the
     /// planner's drain proofs and cost estimates).
     pub(crate) fn n_estimate(&self) -> usize {
-        self.state.lock().params.n as usize
+        self.params.n as usize
     }
 
     /// The service-wide query budget — inspect spend or open a new
@@ -380,8 +389,10 @@ impl RerankService {
         &self.retry_policy
     }
 
-    pub(crate) fn state(&self) -> &Mutex<SharedState> {
-        &self.state
+    /// The current state generation, pinned: the caller keeps using this
+    /// one even if a rebuild swaps in the next.
+    pub(crate) fn state(&self) -> StateHandle {
+        self.state.lock().clone()
     }
 
     /// The cross-session knowledge plane this service publishes to, if it
@@ -403,12 +414,13 @@ impl RerankService {
     /// Size of the shared knowledge accumulated so far: (history tuples,
     /// 1D dense intervals, MD dense boxes).
     pub fn knowledge(&self) -> (usize, usize, usize) {
-        let st = self.state.lock();
-        (
-            st.history.len(),
-            st.dense1d.num_intervals(),
-            st.densemd.num_boxes(),
-        )
+        self.state().read(|st| {
+            (
+                st.history.len(),
+                st.dense1d.num_intervals(),
+                st.densemd.num_boxes(),
+            )
+        })
     }
 }
 

@@ -3,8 +3,13 @@
 //! A session binds one user query + ranking function to a cursor; each
 //! [`Session::next`] returns the next-ranked tuple, charging only the
 //! incremental query cost ("progressively return top answers while paying
-//! only the incremental cost"). The shared service state is locked per call,
-//! so concurrent sessions interleave cleanly.
+//! only the incremental cost"). Each strategy step pins one generation of
+//! the shared service state and locks it only to read or merge knowledge,
+//! never across a site call, so concurrent sessions wait on the site side
+//! by side. Spend is attributed from the charge meter
+//! ([`qrs_types::meter`]): the site and the knowledge gate record every
+//! charge on the calling thread as it happens, and a step's delta on its
+//! own thread is exactly what that step paid and saved.
 //!
 //! Fallibility contract: a budget trip or server failure surfaces as a
 //! typed [`RerankError`]; the cursor keeps everything already paid for, so
@@ -32,6 +37,7 @@ use qrs_knowledge::ResultKey;
 use qrs_obs::{BudgetScope, EventKind, QueryClass};
 use qrs_ranking::RankFn;
 use qrs_server::SearchInterface;
+use qrs_types::meter::{self, Charges};
 use qrs_types::{AdaptiveConfig, Ledger, Query, RerankError, Tuple};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -43,8 +49,8 @@ use std::sync::Arc;
 /// Two mechanisms ride in it:
 /// * the **gate** — every strategy request goes through the
 ///   [`KnowledgeGate`] instead of the raw server, so exact replays and
-///   drained-region synthesis answer for free; the session reads the
-///   gate's saved-ledger deltas in-lock, exactly like paid spend;
+///   drained-region synthesis answer for free; each hit lands on the
+///   step's saved meter reading, exactly like paid spend on the paid one;
 /// * the **result replay** — a cached exact output stream for this
 ///   `(selection, rank, tie, strategy)` is emitted directly (`replay`),
 ///   after which the strategy resumes from scratch and the session's skip
@@ -136,8 +142,8 @@ pub struct RankedTuple {
 }
 
 /// Point-in-time accounting for one session, exact under retries and
-/// concurrency: every counter is updated inside the shared-state lock
-/// around this session's own cursor calls.
+/// concurrency: spend is the charge-meter delta of this session's own
+/// strategy steps, so other sessions' charges never land here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
     /// Tuples emitted so far.
@@ -152,7 +158,7 @@ pub struct SessionStats {
     pub cost_units_spent: u64,
     /// Queries this session answered from the knowledge plane instead of
     /// paying the server — zero unless the service carries a plane.
-    /// Attribution is in-lock, exactly like `queries_spent`; a session
+    /// Attributed from the meter, exactly like `queries_spent`; a session
     /// whose whole stream replayed from a sealed cache entry credits the
     /// sealing run's recorded cost here.
     pub queries_saved: u64,
@@ -181,11 +187,11 @@ pub struct Session<'a> {
     strategy: Box<dyn RerankStrategy>,
     emitted: usize,
     /// Queries and weighted cost units charged inside this session's own
-    /// strategy steps. Counted under the shared-state lock, so interleaved
-    /// queries from concurrent sessions are never misattributed.
+    /// strategy steps, read from the charge meter of the stepping thread,
+    /// so concurrent sessions' queries are never misattributed.
     spent: Ledger,
-    /// What knowledge answered instead of the server, attributed in-lock
-    /// from the gate's saved ledger (plus the one-shot full-replay credit).
+    /// What knowledge answered instead of the server, read from the same
+    /// meter (plus the one-shot full-replay credit).
     saved: Ledger,
     /// Post-residual strategy emissions still to swallow: the prefix the
     /// user has already seen (from a replay, or from the strategy a
@@ -194,8 +200,8 @@ pub struct Session<'a> {
     /// Per-session cap on `spent.queries` (the service-wide budget still
     /// applies).
     budget_limit: Option<u64>,
-    /// Cursor-step attempts, counted in-lock alongside `spent` so failed
-    /// attempts' query spend stays attributed to this session.
+    /// Cursor-step attempts, counted alongside `spent` so failed attempts'
+    /// query spend stays attributed to this session.
     attempts: u64,
     /// Retries spent across all steps of this session.
     retries: u64,
@@ -304,7 +310,7 @@ impl<'a> Session<'a> {
     /// The actual pull loop behind [`Session::next`].
     fn next_pull(&mut self) -> Result<Option<RankedTuple>, RerankError> {
         // Serve the cached result stream first: zero server traffic, no
-        // shared-state lock. Scores replay from their recorded bit
+        // shared state. Scores replay from their recorded bit
         // patterns, so a warm stream is byte-identical to the cold one.
         if let Some(k) = &mut self.knowledge {
             let item = k.replay.pop_front();
@@ -450,8 +456,8 @@ impl<'a> Session<'a> {
                     ms: delay,
                     server_hinted: err.retry_after_hint().is_some(),
                 });
-                // The shared-state lock is NOT held here: other sessions
-                // keep working while this one backs off.
+                // No lock is held here: other sessions keep working while
+                // this one backs off.
                 self.svc.clock().sleep_ms(delay);
             }
         }
@@ -598,51 +604,44 @@ impl<'a> Session<'a> {
         });
     }
 
-    /// One strategy step under the shared-state lock.
+    /// One strategy step on one pinned state generation.
     ///
-    /// Exact per-session attribution: every service query happens inside a
-    /// strategy step while the state lock is held, so the ledger deltas
-    /// (raw queries *and* weighted cost units) across this call are
-    /// exactly this session's spend. The attempt and spend counters update
-    /// *before* the error propagates — a failed attempt that paid for
-    /// queries (e.g. a page truncated in transit) still charges this
-    /// session.
+    /// Exact per-session attribution: every charge a step causes is
+    /// recorded on this thread's charge meter as it happens — by the site
+    /// for paid requests, by the knowledge gate for hits — so the meter's
+    /// delta across the step is exactly this session's spend, however many
+    /// other sessions hit the same site meanwhile. The attempt and spend
+    /// counters update *before* the error propagates — a failed attempt
+    /// that paid for queries (e.g. a page truncated in transit) still
+    /// charges this session.
     fn step(&mut self) -> Result<StrategyStep, RerankError> {
         // With a knowledge gate attached, the strategy talks to the gate
         // instead of the raw server: hits answer for free and land on the
-        // saved ledger; misses pass through and land on the paid one. Both
-        // ledgers are read as deltas across this step under the lock, so
-        // attribution stays exact per session either way.
-        let gate = self.knowledge.as_ref().map(|k| &k.gate);
-        let server: &dyn SearchInterface = match gate {
-            Some(g) => g.as_ref(),
+        // saved reading; misses pass through and land on the paid one.
+        let server: &dyn SearchInterface = match &self.knowledge {
+            Some(k) => k.gate.as_ref(),
             None => self.svc.server().as_ref(),
         };
-        let gate_saved = || gate.map_or(Ledger::default(), |g| g.saved());
-        let mut st = self.svc.state().lock();
-        let before = server.issued();
-        let saved_before = gate_saved();
-        let t = {
-            let mut io = StrategyIo::new(server, &mut st);
-            self.strategy.next_step(&mut io)
-        };
+        let state = self.svc.state();
+        let before = meter::charges();
+        let t = self
+            .strategy
+            .next_step(&mut StrategyIo::new(server, &state));
+        let Charges { paid, saved: hit } = meter::charges() - before;
         self.attempts += 1;
-        let paid = server.issued() - before;
         self.spent += paid;
         self.svc.stats_ref().on_spend(paid);
-        let hit = gate_saved() - saved_before;
         if !hit.is_zero() {
             self.saved += hit;
             self.svc.stats_ref().on_saved(hit);
         }
-        drop(st);
-        // Observability, outside the lock: the deltas are already captured,
-        // so emission order cannot change attribution. `RequestCharged`
-        // carries the very numbers the ledgers above accumulated — the
-        // monitor's actual column reconciles exactly by construction.
+        // Observability: the deltas are already captured, so emission
+        // order cannot change attribution. `RequestCharged` carries the
+        // very numbers the ledgers above accumulated — the monitor's actual
+        // column reconciles exactly by construction.
         if !paid.is_zero() {
-            // Train the calibration store with the same in-lock delta the
-            // ledgers just accumulated — outside the lock, like obs.
+            // Train the calibration store with the same delta the ledgers
+            // just accumulated.
             if let Some(ad) = &self.adaptive {
                 if ad.cfg.calibrate {
                     self.svc
@@ -711,15 +710,15 @@ impl<'a> Session<'a> {
     }
 
     /// Queries this session has caused against the database — exact even
-    /// under concurrency: the count is taken inside the shared-state lock
-    /// around this session's own cursor calls, so interleaved queries from
-    /// other sessions are never attributed here.
+    /// under concurrency: the count is the charge-meter delta of this
+    /// session's own strategy steps, so queries other sessions issue
+    /// meanwhile are never attributed here.
     pub fn queries_spent(&self) -> u64 {
         self.spent.queries
     }
 
     /// Weighted cost units this session has been charged under the
-    /// server's advertised cost model — same in-lock attribution guarantee
+    /// server's advertised cost model — same meter attribution guarantee
     /// as [`Session::queries_spent`]. On flat-model sites this equals the
     /// query count.
     pub fn cost_units_spent(&self) -> u64 {
@@ -728,7 +727,7 @@ impl<'a> Session<'a> {
 
     /// Queries this session answered from the knowledge plane instead of
     /// paying the server. Zero unless the service was built
-    /// `with_knowledge`; same in-lock attribution as
+    /// `with_knowledge`; same meter attribution as
     /// [`Session::queries_spent`]. The invariant a warm session exhibits:
     /// `queries_spent + queries_saved` equals what a cold session would
     /// have spent on the same request.
@@ -775,8 +774,8 @@ impl<'a> Session<'a> {
     }
 
     /// Full accounting snapshot. Exact even when the last `top` returned
-    /// `(hits, Some(err))`: attempts and spend are counted in-lock per
-    /// cursor call, so failed and retried steps are attributed too.
+    /// `(hits, Some(err))`: attempts and spend are counted per strategy
+    /// step, so failed and retried steps are attributed too.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             emitted: self.emitted,
@@ -1188,13 +1187,13 @@ mod tests {
     }
 
     #[test]
-    fn failed_attempts_keep_in_lock_query_attribution_exact() {
+    fn failed_attempts_keep_query_attribution_exact() {
         use qrs_server::{Fault, FaultyServer, SearchInterface};
         use qrs_types::RetryPolicy;
         // Truncated pages are charged by the backend but error out: the
         // session must still attribute those queries to itself, so spend
         // sums to the global counter even under retries. Regression for
-        // counting outside the lock / only on the happy path.
+        // counting only on the happy path.
         let data = uniform(300, 2, 1, 617);
         let inner = Arc::new(SimServer::new(
             data,

@@ -40,8 +40,8 @@ pub struct StatsSnapshot {
     /// Tuples emitted across all sessions.
     pub tuples_emitted: u64,
     /// Queries charged through this service's sessions (failed attempts'
-    /// spend included — counted in-lock per cursor step, like the
-    /// per-session `SessionStats`).
+    /// spend included — metered per strategy step, like the per-session
+    /// `SessionStats`).
     pub queries_spent: u64,
     /// Weighted cost units charged through this service's sessions, under
     /// the server's advertised cost model. Equals `queries_spent` on flat
@@ -49,7 +49,7 @@ pub struct StatsSnapshot {
     pub cost_units_spent: u64,
     /// Queries answered from the knowledge plane instead of the server —
     /// zero unless the service was built
-    /// `with_knowledge`. Same in-lock attribution as `queries_spent`.
+    /// `with_knowledge`. Same meter attribution as `queries_spent`.
     pub queries_saved: u64,
     /// Cost units those knowledge hits would have been billed.
     pub cost_units_saved: u64,

@@ -14,7 +14,7 @@
 /// Two independently switchable behaviours:
 ///
 /// * **calibration** (`calibrate`) — observed-cost statistics are fed from
-///   the same in-lock ledger deltas the session stats use, and
+///   the same metered ledger deltas the session stats use, and
 ///   `Planner::plan` scales each candidate's static estimate by the
 ///   learned actual/predicted ratio before ranking;
 /// * **re-planning** (`replan`) — a running `Auto` session whose actual

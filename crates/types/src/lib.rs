@@ -25,6 +25,8 @@
 //!   the `qrs-service` retry loop,
 //! * [`CostModel`] — per-query-class unit costs a metered site advertises
 //!   and charges by; the currency of the cost-based planner,
+//! * [`meter`] — the per-thread paid/saved [`Ledger`] readings sites and
+//!   the knowledge gate record charges into as they happen,
 //! * [`AdaptiveConfig`], [`Ewma`] — knobs and the deterministic moving
 //!   average behind the `qrs-service` calibration/re-planning loop.
 //!
@@ -41,6 +43,7 @@ pub mod dataset;
 pub mod direction;
 pub mod error;
 pub mod interval;
+pub mod meter;
 pub mod mutation;
 pub mod predicate;
 pub mod query;

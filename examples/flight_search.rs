@@ -8,7 +8,7 @@
 //! cargo run --release --example flight_search
 //! ```
 
-use query_reranking::core::{OneDCursor, OneDStrategy, RerankParams, SharedState};
+use query_reranking::core::{OneDCursor, OneDStrategy, RerankParams, StateHandle};
 use query_reranking::datagen::flights;
 use query_reranking::datagen::flights::attr;
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
@@ -33,12 +33,12 @@ fn main() {
     println!("top-5 flights by taxi-out (exact), per algorithm:\n");
     for strategy in OneDStrategy::ALL {
         let server = SimServer::new(data.clone(), system.clone(), k);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, k));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, k));
         let mut cur = OneDCursor::over(attr::TAXI_OUT, Direction::Asc, sel.clone(), strategy);
         let mut rows = Vec::new();
         for _ in 0..5 {
             match cur
-                .next(&server, &mut st)
+                .next(&server, &st)
                 .expect("offline sim server does not fail")
             {
                 Some(t) => rows.push((t.ord(attr::TAXI_OUT), t.ord(attr::DISTANCE))),

@@ -9,7 +9,7 @@
 //! ```
 
 use query_reranking::core::baselines::{page_down_rerank, recall_at_h};
-use query_reranking::core::{MdCursor, MdOptions, RerankParams, SharedState};
+use query_reranking::core::{MdCursor, MdOptions, RerankParams, StateHandle};
 use query_reranking::datagen::synthetic::correlated;
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
@@ -32,8 +32,8 @@ fn main() {
     );
     for pages in [1usize, 3, 10, 30, 100] {
         let server = SimServer::new(data.clone(), sys.clone(), 10).with_paging();
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
-        let r = page_down_rerank(&server, &mut st, &Query::all(), |t| rank.score(t), pages)
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, 10));
+        let r = page_down_rerank(&server, &st, &Query::all(), |t| rank.score(t), pages)
             .expect("paging capability enabled above");
         println!(
             "{:<28} {:>8} {:>10.2} {:>7}",
@@ -44,7 +44,7 @@ fn main() {
         );
     }
     let server = SimServer::new(data.clone(), sys, 10);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(n, 10));
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(n, 10));
     let mut cur = MdCursor::new(
         Arc::new(rank.clone()) as Arc<dyn RankFn>,
         Query::all(),
@@ -54,7 +54,7 @@ fn main() {
     let mut got = Vec::new();
     for _ in 0..10 {
         match cur
-            .next(&server, &mut st)
+            .next(&server, &st)
             .expect("offline sim server does not fail")
         {
             Some(t) => got.push(t),

@@ -3,16 +3,16 @@
 //! the answer it certifies must be correct.
 
 use query_reranking::core::one_d::primitives::{next_above, OneDSpec};
-use query_reranking::core::{OneDStrategy, RerankParams, SharedState};
+use query_reranking::core::{OneDStrategy, RerankParams, StateHandle};
 use query_reranking::server::{AdversaryServer, SearchInterface};
 use query_reranking::types::value::cmp_f64;
 use query_reranking::types::{AttrId, Direction, Query};
 
 fn run(n: usize, k: usize, strategy: OneDStrategy) {
     let adv = AdversaryServer::new(0.0, 1.0, n, k);
-    let mut st = SharedState::new(adv.schema(), RerankParams::paper_defaults(n, k));
+    let st = StateHandle::new(adv.schema(), RerankParams::paper_defaults(n, k));
     let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
-    let t = next_above(&adv, &mut st, &spec, strategy, f64::NEG_INFINITY, None)
+    let t = next_above(&adv, &st, &spec, strategy, f64::NEG_INFINITY, None)
         .unwrap()
         .expect("the adversary materializes at least one tuple");
     // Correctness: the certified top-1 really is the minimum of the
@@ -65,11 +65,11 @@ fn adversary_forces_full_materialization() {
     // Certifying the top-1 requires seeing essentially all n tuples.
     let (n, k) = (150, 3);
     let adv = AdversaryServer::new(0.0, 1.0, n, k);
-    let mut st = SharedState::new(adv.schema(), RerankParams::paper_defaults(n, k));
+    let st = StateHandle::new(adv.schema(), RerankParams::paper_defaults(n, k));
     let spec = OneDSpec::new(AttrId(0), Direction::Asc, Query::all());
     next_above(
         &adv,
-        &mut st,
+        &st,
         &spec,
         OneDStrategy::Baseline,
         f64::NEG_INFINITY,

@@ -3,7 +3,7 @@
 //! completeness is a correctness dependency of everything else.
 
 use query_reranking::core::crawl::crawl_region;
-use query_reranking::core::{RerankParams, SharedState};
+use query_reranking::core::{RerankParams, StateHandle};
 use query_reranking::datagen::synthetic::{clustered, discrete_grid, uniform};
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
 use query_reranking::types::{
@@ -23,8 +23,8 @@ fn check_complete(data: &Dataset, k: usize, q: &Query) {
         v
     };
     let server = SimServer::new(data.clone(), SystemRank::pseudo_random(9), k);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
-    let r = crawl_region(&server, &mut st, q).unwrap();
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
+    let r = crawl_region(&server, &st, q).unwrap();
     assert!(!r.truncated, "unexpected truncation");
     let got: Vec<u32> = r.tuples.iter().map(|t| t.id.0).collect();
     assert_eq!(got, want);
@@ -78,11 +78,11 @@ fn grid_data_with_categorical_separation() {
     // With k below the largest group, the crawler must *report* truncation
     // rather than silently missing tuples.
     let server = SimServer::new(data.clone(), SystemRank::pseudo_random(9), max_group - 1);
-    let mut st = SharedState::new(
+    let st = StateHandle::new(
         data.schema(),
         RerankParams::paper_defaults(data.len(), max_group - 1),
     );
-    let r = crawl_region(&server, &mut st, &Query::all()).unwrap();
+    let r = crawl_region(&server, &st, &Query::all()).unwrap();
     assert!(r.truncated);
 }
 
@@ -126,8 +126,8 @@ fn truncation_reported_for_indistinguishable_duplicates() {
         .collect();
     let data = Dataset::new(schema, tuples).unwrap();
     let server = SimServer::new(data.clone(), SystemRank::pseudo_random(1), 4);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(12, 4));
-    let r = crawl_region(&server, &mut st, &Query::all()).unwrap();
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(12, 4));
+    let r = crawl_region(&server, &st, &Query::all()).unwrap();
     assert!(r.truncated, "silent truncation");
     assert_eq!(r.tuples.len(), 4);
 }
@@ -139,8 +139,8 @@ fn crawl_cost_scales_with_result_size_not_database_size() {
     let q = Query::all().and_range(AttrId(0), Interval::open(0.4, 0.42));
     let expect = data.count_matching(&q);
     let server = SimServer::new(data.clone(), SystemRank::pseudo_random(2), 10);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(5_000, 10));
-    let r = crawl_region(&server, &mut st, &q).unwrap();
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(5_000, 10));
+    let r = crawl_region(&server, &st, &q).unwrap();
     assert_eq!(r.tuples.len(), expect);
     assert!(
         server.queries_issued() <= (4 * expect / 10 + 10) as u64,

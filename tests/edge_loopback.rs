@@ -283,6 +283,9 @@ fn transport_faults_retry_transparently_and_ledgers_absorb_the_loss() {
         s.retries_spent() >= 2,
         "each destroyed response was retried"
     );
+    // The session was billed everything the far site charged — the
+    // truncated response's charge included.
+    let session_spend = (s.queries_spent(), s.cost_units_spent());
 
     // The same run without the proxy gives the reference answer.
     let local = Arc::new(anti_server(&data, 3));
@@ -304,7 +307,90 @@ fn transport_faults_retry_transparently_and_ledgers_absorb_the_loss() {
     // for and lost, so the remote ledger runs ahead of the fault-free one
     // by exactly that re-issued query.
     assert_eq!(remote.queries_issued(), local.queries_issued() + 1);
+    assert_eq!(
+        session_spend,
+        (remote.queries_issued(), remote.cost_units_issued()),
+        "the lost charge reached the session exactly once"
+    );
     handle.shutdown();
+}
+
+/// One runner, two doors: on `Executor::pool(1)` a batch served in-process
+/// (joined from outside the pool) and the same batch served through the
+/// front door (joined by the pool's own worker) run their sessions one at
+/// a time in request order, so even the schedule-dependent per-request
+/// ledgers — later requests amortize over earlier ones' history — must
+/// agree cell by cell, every time.
+#[test]
+fn one_worker_batches_agree_cell_by_cell_on_both_sides_of_the_wire() {
+    let data = uniform(150, 2, 1, test_seed() ^ 0x1E6);
+    let sel = Query::all();
+    let wire_ranks: Vec<Vec<(usize, Direction, f64)>> = vec![
+        vec![(0, Direction::Asc, 1.0)],
+        vec![(0, Direction::Asc, 1.0), (1, Direction::Asc, 0.75)],
+        vec![(0, Direction::Asc, 0.5), (1, Direction::Asc, 1.25)],
+    ];
+    let ranks: Vec<Arc<dyn RankFn>> = wire_ranks
+        .iter()
+        .map(|r| {
+            Arc::new(LinearRank::asc(
+                r.iter().map(|&(a, _, w)| (AttrId(a), w)).collect(),
+            )) as Arc<dyn RankFn>
+        })
+        .collect();
+    for round in 0..50 {
+        let exec = Arc::new(Executor::pool(1));
+        let local = Arc::new(anti_server(&data, 3));
+        let svc = RerankService::new(Arc::clone(&local) as Arc<dyn SearchInterface>, data.len());
+        let want = svc.serve_batch(
+            &exec,
+            ranks
+                .iter()
+                .map(|r| BatchRequest::new(sel.clone(), Arc::clone(r), 5))
+                .collect(),
+        );
+
+        let remote = Arc::new(anti_server(&data, 3));
+        let svc = Arc::new(RerankService::new(
+            Arc::clone(&remote) as Arc<dyn SearchInterface>,
+            data.len(),
+        ));
+        let handle =
+            EdgeServer::serve(Arc::clone(&svc), Arc::clone(&exec), EdgeConfig::default()).unwrap();
+        let reply = EdgeClient::new(handle.addr(), "tenant-a")
+            .rerank(
+                wire_ranks
+                    .iter()
+                    .map(|r| EdgeClient::request(&sel, r, 5, None, None, None))
+                    .collect(),
+            )
+            .expect("front door");
+        for (i, (got, want)) in reply.outcomes.iter().zip(&want).enumerate() {
+            assert!(
+                want.error.is_none(),
+                "round {round} cell {i}: {:?}",
+                want.error
+            );
+            assert_eq!(got.error_code, None, "round {round} cell {i}");
+            let got_fp: Vec<(u32, u64)> = got
+                .hits
+                .iter()
+                .map(|(_, score, t)| (t.id.0, score.to_bits()))
+                .collect();
+            assert_eq!(got_fp, fingerprint(&want.hits), "round {round} cell {i}");
+            assert_eq!(
+                (got.queries_spent, got.cost_units_spent),
+                (want.stats.queries_spent, want.stats.cost_units_spent),
+                "round {round}: the wire changed the ledger of cell {i}"
+            );
+        }
+        assert_eq!(
+            remote.queries_issued(),
+            local.queries_issued(),
+            "round {round}"
+        );
+        handle.shutdown();
+    }
 }
 
 /// Admission refusals are typed, carry `Retry-After`, and charge neither

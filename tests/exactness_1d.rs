@@ -2,7 +2,7 @@
 //! reproduce the brute-force ranking on every dataset family, direction, and
 //! filter — the paper's "no loss of accuracy" requirement.
 
-use query_reranking::core::{OneDCursor, OneDStrategy, RerankParams, SharedState};
+use query_reranking::core::{OneDCursor, OneDStrategy, RerankParams, StateHandle};
 use query_reranking::datagen::synthetic::{clustered, discrete_grid, uniform};
 use query_reranking::datagen::{flights, one_d_workload, WorkloadConfig};
 use query_reranking::server::{SimServer, SystemRank};
@@ -35,11 +35,11 @@ fn check_stream(
         .collect();
     for strategy in OneDStrategy::ALL {
         let server = SimServer::new(data.clone(), sys.clone(), k);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
         let mut cur = OneDCursor::over(attr, dir, sel.clone(), strategy);
         let mut got = Vec::new();
         for _ in 0..take {
-            match cur.next(&server, &mut st).unwrap() {
+            match cur.next(&server, &st).unwrap() {
                 Some(t) => got.push((dir.normalize(t.ord(attr)), t.id.0)),
                 None => break,
             }
@@ -156,7 +156,7 @@ fn shared_state_across_user_queries_stays_exact() {
     // history and dense-index reuse must never corrupt answers.
     let data = clustered(800, 2, 2, 0.004, 1011);
     let server = SimServer::new(data.clone(), SystemRank::by_attr_desc(AttrId(0)), 5);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(800, 5));
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(800, 5));
     let cfg = WorkloadConfig {
         num_queries: 8,
         seed: 13,
@@ -170,7 +170,7 @@ fn shared_state_across_user_queries_stays_exact() {
         let mut cur = OneDCursor::over(uq.attr, uq.dir, uq.query.clone(), OneDStrategy::Rerank);
         let mut got = Vec::new();
         for _ in 0..5 {
-            match cur.next(&server, &mut st).unwrap() {
+            match cur.next(&server, &st).unwrap() {
                 Some(t) => got.push((uq.dir.normalize(t.ord(uq.attr)), t.id.0)),
                 None => break,
             }

@@ -4,7 +4,7 @@
 //! adversarial system rankings.
 
 use query_reranking::core::md::ta::{SortedAccess, TaCursor};
-use query_reranking::core::{MdCursor, MdOptions, OneDStrategy, RerankParams, SharedState};
+use query_reranking::core::{MdCursor, MdOptions, OneDStrategy, RerankParams, StateHandle};
 use query_reranking::datagen::synthetic::{correlated, discrete_grid, uniform};
 use query_reranking::ranking::{ChebyshevRank, LinearRank, LpRank, RankFn, RatioRank};
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
@@ -47,11 +47,11 @@ fn run_cursor(
     take: usize,
 ) -> Vec<(f64, u32)> {
     let server = SimServer::new(data.clone(), sys.clone(), k);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
     let mut cur = MdCursor::new(Arc::clone(&rank), sel.clone(), opts, server.schema());
     let mut got = Vec::new();
     for _ in 0..take {
-        match cur.next(&server, &mut st).unwrap() {
+        match cur.next(&server, &st).unwrap() {
             Some(t) => got.push((rank.score(&t), t.id.0)),
             None => break,
         }
@@ -91,7 +91,7 @@ fn check_all_algos(
     }
     // TA.
     let server = SimServer::new(data.clone(), sys, k);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
     let mut ta = TaCursor::new(
         Arc::clone(&rank),
         sel,
@@ -100,7 +100,7 @@ fn check_all_algos(
     );
     let mut got = Vec::new();
     for _ in 0..take {
-        match ta.next(&server, &mut st).unwrap() {
+        match ta.next(&server, &st).unwrap() {
             Some(t) => got.push((rank.score(&t), t.id.0)),
             None => break,
         }

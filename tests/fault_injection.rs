@@ -291,7 +291,7 @@ fn federated_merge_degrades_around_a_dead_source_with_typed_report() {
 
 #[test]
 fn two_sessions_interleaved_under_faults_keep_attribution_exact() {
-    // Regression for in-lock counting: interleave two retrying sessions on
+    // Regression for per-step counting: interleave two retrying sessions on
     // one faulty service; their ledgers must sum to the global counter and
     // each must own its retries.
     let data = uniform(300, 2, 1, 9008);

@@ -3,7 +3,7 @@
 //! order, and TA-over-1D handles the MD case — exercised end to end.
 
 use query_reranking::core::md::ta::{SortedAccess, TaCursor};
-use query_reranking::core::{OneDStrategy, RerankParams, SharedState};
+use query_reranking::core::{OneDStrategy, RerankParams, StateHandle};
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{SearchInterface, SimServer, SystemRank};
 use query_reranking::types::value::cmp_f64;
@@ -53,7 +53,7 @@ fn md_rank_over_point_only_attribute_via_ta() {
     want.truncate(12);
 
     let server = SimServer::new(data.clone(), SystemRank::pseudo_random(77), 8);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 8));
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(300, 8));
     let mut ta = TaCursor::new(
         Arc::clone(&rank),
         Query::all(),
@@ -61,7 +61,7 @@ fn md_rank_over_point_only_attribute_via_ta() {
         server.schema(),
     );
     let got: Vec<f64> = ta
-        .top_h(&server, &mut st, 12)
+        .top_h(&server, &st, 12)
         .unwrap()
         .iter()
         .map(|t| rank.score(t))
@@ -86,7 +86,7 @@ fn one_d_point_only_with_filter_both_directions() {
         want.sort_by(|a, b| cmp_f64(a.0, b.0).then(a.1.cmp(&b.1)));
 
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(3), 6);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(200, 6));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(200, 6));
         let mut cur = query_reranking::core::OneDCursor::over(
             AttrId(0),
             dir,
@@ -94,7 +94,7 @@ fn one_d_point_only_with_filter_both_directions() {
             OneDStrategy::Rerank,
         );
         let mut got = Vec::new();
-        while let Some(t) = cur.next(&server, &mut st).unwrap() {
+        while let Some(t) = cur.next(&server, &st).unwrap() {
             got.push((dir.normalize(t.ord(AttrId(0))), t.id.0));
             assert!(got.len() <= want.len(), "stream overran");
         }

@@ -10,7 +10,7 @@
 
 use query_reranking::core::md::ta::{SortedAccess, TaCursor};
 use query_reranking::core::{
-    MdCursor, MdOptions, OneDCursor, OneDStrategy, RerankParams, SharedState,
+    MdCursor, MdOptions, OneDCursor, OneDStrategy, RerankParams, StateHandle,
 };
 use query_reranking::ranking::{LinearRank, RankFn};
 use query_reranking::server::{FaultyServer, SearchInterface, SimServer, SystemRank};
@@ -144,11 +144,10 @@ fn one_d_streams_match_bruteforce() {
         };
         for strategy in OneDStrategy::ALL {
             let server = SimServer::new(data.clone(), SystemRank::pseudo_random(sys_seed), k);
-            let mut st =
-                SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
+            let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
             let mut cur = OneDCursor::over(AttrId(0), dir, sel.clone(), strategy);
             let mut got = Vec::new();
-            while let Some(t) = cur.next(&server, &mut st).unwrap() {
+            while let Some(t) = cur.next(&server, &st).unwrap() {
                 got.push(dir.normalize(t.ord(AttrId(0))));
                 assert!(got.len() <= want.len() + 1, "stream longer than relation");
             }
@@ -173,11 +172,10 @@ fn md_cursors_match_bruteforce() {
             MdOptions::rerank(),
         ] {
             let server = SimServer::new(data.clone(), SystemRank::pseudo_random(sys_seed), k);
-            let mut st =
-                SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
+            let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
             let mut cur = MdCursor::new(Arc::clone(&rank), sel.clone(), opts, server.schema());
             let mut got = Vec::new();
-            while let Some(t) = cur.next(&server, &mut st).unwrap() {
+            while let Some(t) = cur.next(&server, &st).unwrap() {
                 got.push(rank.score(&t));
                 assert!(got.len() <= want.len(), "stream longer than relation");
             }
@@ -196,7 +194,7 @@ fn ta_matches_bruteforce() {
         let sys_seed = rng.random_range(0..1000u64);
         let want = ground_truth(&data, rank.as_ref(), &Query::all(), k);
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(sys_seed), k);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
         let mut ta = TaCursor::new(
             Arc::clone(&rank),
             Query::all(),
@@ -204,7 +202,7 @@ fn ta_matches_bruteforce() {
             server.schema(),
         );
         let mut got = Vec::new();
-        while let Some(t) = ta.next(&server, &mut st).unwrap() {
+        while let Some(t) = ta.next(&server, &st).unwrap() {
             got.push(rank.score(&t));
             assert!(got.len() <= want.len(), "stream longer than relation");
         }
@@ -253,7 +251,7 @@ fn exactness_is_fault_oblivious_for_md_cursors() {
             k,
         )) as Arc<dyn SearchInterface>;
         let faulty = FaultyServer::new(server).with_random_faults(fault_seed, 0.12, 0.08, 0.06);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
         let mut cur = MdCursor::new(
             Arc::clone(&rank),
             sel.clone(),
@@ -261,7 +259,7 @@ fn exactness_is_fault_oblivious_for_md_cursors() {
             faulty.schema(),
         );
         let got = drain_resuming(
-            || Ok(cur.next(&faulty, &mut st)?.map(|t| rank.score(&t))),
+            || Ok(cur.next(&faulty, &st)?.map(|t| rank.score(&t))),
             200_000,
         );
         assert_eq!(got, want, "case {case}: faults changed the answer");
@@ -296,12 +294,12 @@ fn exactness_is_fault_oblivious_for_one_d_cursors() {
             k,
         )) as Arc<dyn SearchInterface>;
         let faulty = FaultyServer::new(server).with_random_faults(fault_seed, 0.12, 0.08, 0.06);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), k));
         let mut cur = OneDCursor::over(AttrId(0), dir, sel.clone(), OneDStrategy::Rerank);
         let got = drain_resuming(
             || {
                 Ok(cur
-                    .next(&faulty, &mut st)?
+                    .next(&faulty, &st)?
                     .map(|t| dir.normalize(t.ord(AttrId(0)))))
             },
             200_000,
@@ -319,14 +317,14 @@ fn md_3d_top1_matches_bruteforce() {
         let sys_seed = rng.random_range(0..1000u64);
         let want = ground_truth(&data, rank.as_ref(), &Query::all(), 4);
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(sys_seed), 4);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(data.len(), 4));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(data.len(), 4));
         let mut cur = MdCursor::new(
             Arc::clone(&rank),
             Query::all(),
             MdOptions::rerank(),
             server.schema(),
         );
-        let got = cur.next(&server, &mut st).unwrap().map(|t| rank.score(&t));
+        let got = cur.next(&server, &st).unwrap().map(|t| rank.score(&t));
         assert_eq!(got, want.first().copied(), "case {case}");
     }
 }

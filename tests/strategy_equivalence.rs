@@ -15,7 +15,7 @@
 use query_reranking::core::baselines::PageDownCursor;
 use query_reranking::core::md::ta::{SortedAccess, TaCursor};
 use query_reranking::core::{
-    MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState, TiePolicy,
+    MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, StateHandle, TiePolicy,
 };
 use query_reranking::datagen::synthetic::uniform;
 use query_reranking::ranking::{LinearRank, RankFn};
@@ -71,11 +71,11 @@ fn assert_equivalent(
     n: usize,
     rank: Arc<dyn RankFn>,
     algo: Algorithm,
-    mut legacy_next: impl FnMut(&SimServer, &mut SharedState) -> Option<Arc<Tuple>>,
+    mut legacy_next: impl FnMut(&SimServer, &StateHandle) -> Option<Arc<Tuple>>,
     pulls: usize,
 ) {
     let legacy_server = pair.legacy;
-    let mut st = SharedState::new(
+    let st = StateHandle::new(
         legacy_server.schema(),
         RerankParams::paper_defaults(n, legacy_server.k()),
     );
@@ -87,7 +87,7 @@ fn assert_equivalent(
         .open()
         .unwrap();
     for i in 0..pulls {
-        let want = legacy_next(&legacy_server, &mut st).map(|t| t.id);
+        let want = legacy_next(&legacy_server, &st).map(|t| t.id);
         let got = sess.next().unwrap().map(|r| r.tuple.id);
         assert_eq!(want, got, "stream diverged at pull {i}");
         assert_eq!(

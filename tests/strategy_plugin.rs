@@ -2,7 +2,7 @@
 //! custom strategy plugged in via [`SessionBuilder::strategy`] runs through
 //! the full service machinery — planned (`Algorithm::Custom` with the
 //! strategy's own estimate), budget-gated per step, ledger-attributed
-//! in-lock, retried on transient failures — and its errors surface as
+//! per step, retried on transient failures — and its errors surface as
 //! typed [`RerankError`]s, never panics.
 //!
 //! [`SessionBuilder::strategy`]: query_reranking::service::SessionBuilder::strategy
@@ -160,7 +160,7 @@ fn custom_strategy_runs_end_to_end_and_is_exact() {
     assert!(err.is_none(), "{err:?}");
     let got: Vec<u32> = hits.iter().map(|r| r.tuple.id.0).collect();
     assert_eq!(got, truth, "custom strategy must stream the oracle order");
-    // Ledger attribution flows through the same in-lock metering.
+    // Ledger attribution flows through the same per-step metering.
     assert_eq!(sess.queries_spent(), (n as u64).div_ceil(k as u64));
     assert_eq!(sess.queries_spent(), svc.queries_issued());
     assert_eq!(sess.stats().cost_units_spent, sess.cost_units_spent());

@@ -4,7 +4,7 @@
 
 use query_reranking::core::md::cursor::MdTie;
 use query_reranking::core::{
-    MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, SharedState, TiePolicy,
+    MdCursor, MdOptions, OneDCursor, OneDSpec, OneDStrategy, RerankParams, StateHandle, TiePolicy,
 };
 use query_reranking::datagen::synthetic::{discrete_grid, uniform};
 use query_reranking::ranking::{LinearRank, RankFn};
@@ -18,7 +18,7 @@ fn md_gp_equals_exact_on_distinct_data() {
     let rank: Arc<dyn RankFn> = Arc::new(LinearRank::asc(vec![(AttrId(0), 1.0), (AttrId(1), 0.7)]));
     let run = |tie: MdTie| -> (Vec<u32>, u64) {
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(31), 5);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(300, 5));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(300, 5));
         let mut cur = MdCursor::with_tie(
             Arc::clone(&rank),
             Query::all(),
@@ -28,7 +28,7 @@ fn md_gp_equals_exact_on_distinct_data() {
         );
         let mut ids = Vec::new();
         for _ in 0..20 {
-            match cur.next(&server, &mut st).unwrap() {
+            match cur.next(&server, &st).unwrap() {
                 Some(t) => ids.push(t.id.0),
                 None => break,
             }
@@ -54,7 +54,7 @@ fn md_gp_skips_ties_exact_does_not() {
     let total = data.len();
     let run = |tie: MdTie| -> usize {
         let server = SimServer::new(data.clone(), SystemRank::pseudo_random(33), 40);
-        let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(150, 40));
+        let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(150, 40));
         let mut cur = MdCursor::with_tie(
             Arc::clone(&rank),
             Query::all(),
@@ -63,7 +63,7 @@ fn md_gp_skips_ties_exact_does_not() {
             tie,
         );
         let mut n = 0;
-        while cur.next(&server, &mut st).unwrap().is_some() {
+        while cur.next(&server, &st).unwrap().is_some() {
             n += 1;
             assert!(n <= total, "emitted more tuples than exist");
         }
@@ -77,14 +77,14 @@ fn md_gp_skips_ties_exact_does_not() {
 fn one_d_assume_distinct_emits_one_per_value() {
     let data = discrete_grid(200, 2, 4, 5005);
     let server = SimServer::new(data.clone(), SystemRank::pseudo_random(35), 10);
-    let mut st = SharedState::new(data.schema(), RerankParams::paper_defaults(200, 10));
+    let st = StateHandle::new(data.schema(), RerankParams::paper_defaults(200, 10));
     let mut cur = OneDCursor::new(
         OneDSpec::new(AttrId(0), Direction::Asc, Query::all()),
         OneDStrategy::Binary,
         TiePolicy::AssumeDistinct,
     );
     let mut values = Vec::new();
-    while let Some(t) = cur.next(&server, &mut st).unwrap() {
+    while let Some(t) = cur.next(&server, &st).unwrap() {
         values.push(t.ord(AttrId(0)));
         assert!(values.len() <= 4, "more emissions than distinct values");
     }
